@@ -3,11 +3,14 @@
 Two variants share the machinery: trigonometric fields on the circle
 (mode-capped, exact rational rank over the Fourier coefficient basis)
 and polynomial fields on R^n (rank of the evaluated fields at a point).
-All independence decisions use exact rational elimination; coefficients
-of iterated brackets grow, and floating rank would lie about them.
+All independence decisions, and the combinations steering certificates
+solve for, go through one fraction-free integer eliminator (IntegerSpan);
+coefficients of iterated brackets grow, and floating rank would lie about
+them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -20,77 +23,69 @@ _ZERO = Fraction(0)
 # ---------------------------------------------------------------------------
 # exact linear algebra
 
-class RationalSpan:
-    """Incremental row space over the rationals (dense, fixed width)."""
-
-    def __init__(self, width: int):
-        self.width = width
-        self.rows: list[tuple[int, list[Fraction]]] = []  # (pivot, row), pivot-normalized
-
-    def _reduce(self, vec: list[Fraction]) -> list[Fraction]:
-        v = list(vec)
-        for pivot, row in self.rows:
-            c = v[pivot]
-            if c:
-                for k in range(pivot, self.width):
-                    v[k] -= c * row[k]
-        return v
-
-    def contains(self, vec: Sequence[Fraction]) -> bool:
-        return all(x == 0 for x in self._reduce(list(vec)))
-
-    def add(self, vec: Sequence[Fraction]) -> bool:
-        """Insert vec if independent; True when the rank grew."""
-        if len(vec) != self.width:
-            raise ValueError("vector width mismatch")
-        v = self._reduce(list(vec))
-        for pivot in range(self.width):
-            if v[pivot] != 0:
-                inv = 1 / v[pivot]
-                row = [x * inv for x in v]
-                self.rows.append((pivot, row))
-                self.rows.sort(key=lambda r: r[0])
-                return True
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+def _primitive(row: dict) -> dict:
+    g = math.gcd(*row.values())
+    return {k: x // g for k, x in row.items()} if g > 1 else row
 
 
-class SparseRationalSpan:
-    """Same idea with sparse vectors keyed by arbitrary orderable keys."""
+def _integer_row(vec) -> dict:
+    """Primitive integer multiple of a rational mapping, zeros dropped."""
+    entries = [(k, c) for k, c in vec.items() if c]
+    den = math.lcm(*(c.denominator for _, c in entries))
+    return _primitive({k: den // c.denominator * c.numerator for k, c in entries})
+
+
+class IntegerSpan:
+    """Incremental row space over the rationals, eliminated fraction-free.
+
+    Vectors are sparse mappings from orderable keys to rationals.  Each
+    stored row is a primitive integer vector whose pivot is its least key,
+    and the rows form a reduced echelon form (every row is zero at the
+    other rows' pivots), so a reduction never revisits a pivot and the
+    only divisions are exact gcd divisions.  The set of pivot keys, and
+    each row up to scale, depend on the row space alone, not on the
+    insertion order.
+    """
 
     def __init__(self):
-        self.rows: list[tuple[object, dict]] = []  # (pivot key, row), sorted by pivot
+        self.rows: dict = {}  # pivot key -> primitive integer row
 
     @staticmethod
-    def _pivot(vec: dict):
-        live = [k for k, c in vec.items() if c != 0]
-        return min(live) if live else None
+    def _eliminate(v: dict, row: dict, key) -> dict:
+        """rp * v - c * row over gcd(rp, c), which is zero at key."""
+        rp, c = row[key], v[key]
+        g = math.gcd(rp, c)
+        rp, c = rp // g, c // g
+        out = {k: rp * x for k, x in v.items()} if rp != 1 else dict(v)
+        for k, y in row.items():
+            x = out.get(k, 0) - c * y
+            if x:
+                out[k] = x
+            else:
+                del out[k]
+        return out
 
-    def _reduce(self, vec: dict) -> dict:
-        v = {k: c for k, c in vec.items() if c != 0}
-        for pivot, row in self.rows:
-            c = v.get(pivot)
-            if c:
-                for k, rc in row.items():
-                    nv = v.get(k, _ZERO) - c * rc
-                    if nv:
-                        v[k] = nv
-                    else:
-                        v.pop(k, None)
+    def _reduce(self, vec) -> dict:
+        v = _integer_row(vec)
+        for pivot, row in self.rows.items():
+            if v.get(pivot):
+                v = self._eliminate(v, row, pivot)
         return v
 
-    def add(self, vec: dict) -> bool:
+    def contains(self, vec) -> bool:
+        return not self._reduce(vec)
+
+    def add(self, vec) -> bool:
+        """Insert vec if independent; True when the rank grew."""
         v = self._reduce(vec)
-        pivot = self._pivot(v)
-        if pivot is None:
+        if not v:
             return False
-        inv = 1 / v[pivot]
-        row = {k: c * inv for k, c in v.items() if c != 0}
-        self.rows.append((pivot, row))
-        self.rows.sort(key=lambda r: r[0])
+        v = _primitive(v)
+        pivot = min(v)
+        for p, row in self.rows.items():
+            if row.get(pivot):
+                self.rows[p] = _primitive(self._eliminate(row, v, pivot))
+        self.rows[pivot] = v
         return True
 
     @property
@@ -102,39 +97,22 @@ def solve_combination(columns: Sequence[Sequence[Fraction]],
                       target: Sequence[Fraction]) -> Optional[list[Fraction]]:
     """Exact coefficients c with sum c_i * columns[i] == target, or None.
 
-    Gaussian elimination with least-index pivots; free variables are set
-    to zero, so the answer is deterministic.
+    Least-index pivots with free variables set to zero, so the answer is
+    the unique solution supported on the columns independent of all
+    earlier ones.  The rows of [columns | target] go into an IntegerSpan;
+    its reduced echelon form gives each pivot's coefficient as a ratio.
     """
     n_cols = len(columns)
-    width = len(target)
-    aug = [[col[r] for col in columns] + [target[r]] for r in range(width)]
-    pivots: list[tuple[int, int]] = []
-    row_at = 0
-    for col in range(n_cols):
-        sel = None
-        for r in range(row_at, width):
-            if aug[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        aug[row_at], aug[sel] = aug[sel], aug[row_at]
-        inv = 1 / aug[row_at][col]
-        aug[row_at] = [x * inv for x in aug[row_at]]
-        for r in range(width):
-            if r != row_at and aug[r][col] != 0:
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[row_at])]
-        pivots.append((row_at, col))
-        row_at += 1
-        if row_at == width:
-            break
-    for r in range(row_at, width):
-        if aug[r][n_cols] != 0:
-            return None  # inconsistent
+    span = IntegerSpan()
+    for r, t in enumerate(target):
+        row = {c: col[r] for c, col in enumerate(columns)}
+        row[n_cols] = t
+        span.add(row)
+    if n_cols in span.rows:
+        return None  # inconsistent
     sol = [_ZERO] * n_cols
-    for r, c in pivots:
-        sol[c] = aug[r][n_cols]
+    for c, row in span.rows.items():
+        sol[c] = Fraction(row.get(n_cols, 0), row[c])
     return sol
 
 
@@ -403,10 +381,10 @@ def closure(family: FieldFamily, max_depth: int, max_mode_cap: int) -> ClosureRe
         if f.effective_max_mode() > max_mode_cap:
             raise ValueError(f"seed {l!r} exceeds max_mode_cap")
 
-    span = RationalSpan(2 * max_mode_cap + 1)
+    span = IntegerSpan()
     generated: list[GeneratedField] = []
     for label, f in zip(family.labels, family.fields):
-        if not f.is_zero() and span.add(f.coefficient_vector(max_mode_cap)):
+        if not f.is_zero() and span.add(dict(enumerate(f.coefficient_vector(max_mode_cap)))):
             generated.append(GeneratedField(label, f, None, 1))
 
     depth_used = 1
@@ -420,7 +398,7 @@ def closure(family: FieldFamily, max_depth: int, max_mode_cap: int) -> ClosureRe
                 w = bracket(gi.field, gj.field)
                 if w.is_zero() or w.effective_max_mode() > max_mode_cap:
                     continue
-                if span.add(w.coefficient_vector(max_mode_cap)):
+                if span.add(dict(enumerate(w.coefficient_vector(max_mode_cap)))):
                     generated.append(GeneratedField(
                         f"[{gi.label},{gj.label}]", w, (i, j), gi.depth + gj.depth))
         pair_cursor = count_before
@@ -430,11 +408,10 @@ def closure(family: FieldFamily, max_depth: int, max_mode_cap: int) -> ClosureRe
         depth_used = round_no
 
     spanned = set()
-    if span.contains(_basis_vector(max_mode_cap, 0, "cos")):
+    if span.contains({0: 1}):  # keys are coefficient_vector indices
         spanned.add(0)
     for m in range(1, max_mode_cap + 1):
-        if span.contains(_basis_vector(max_mode_cap, m, "cos")) and \
-           span.contains(_basis_vector(max_mode_cap, m, "sin")):
+        if span.contains({m: 1}) and span.contains({max_mode_cap + m: 1}):
             spanned.add(m)
 
     return ClosureReport(
@@ -475,7 +452,7 @@ def lie_rank_at_point(family: FieldFamily, point: Sequence, max_depth: int) -> i
     x = [Fraction(p) if not isinstance(p, float) else Fraction(p).limit_denominator(10**12)
          for p in point]
 
-    span = SparseRationalSpan()
+    span = IntegerSpan()
     generated: list[PolyField] = []
     for f in fields:
         if not f.is_zero() and span.add(f.coefficient_dict()):
@@ -493,7 +470,7 @@ def lie_rank_at_point(family: FieldFamily, point: Sequence, max_depth: int) -> i
         if len(generated) == count_before:
             break
 
-    point_span = RationalSpan(n)
+    point_span = IntegerSpan()
     for g in generated:
-        point_span.add(list(g.eval(x)))
+        point_span.add(dict(enumerate(g.eval(x))))
     return point_span.rank

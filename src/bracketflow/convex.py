@@ -217,6 +217,10 @@ def _min_norm_point(points: np.ndarray, tol: float = 1e-13) -> np.ndarray:
             w = w[keep]
             w = w / w.sum()
         x = w @ P[S]
+        if j not in S:
+            # the affine step dropped the point just added: x stays put and
+            # the same point would be picked again on every iteration
+            break
     return x
 
 

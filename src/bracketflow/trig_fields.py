@@ -1,9 +1,10 @@
 """Exact trigonometric vector fields on the circle.
 
 A field is v(theta) d/dtheta with v a truncated Fourier series held with
-rational coefficients.  Products expand through product-to-sum identities,
-so bracket identities can be checked coefficient by coefficient; nothing
-in this module rounds.
+rational coefficients.  The bracket applies the complex mode law
+[e_k, e_l] = i(k - l) e_{k+l} to Gaussian-integer mode coefficients over a
+common denominator, so bracket identities can be checked coefficient by
+coefficient; nothing in this module rounds.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ import numpy as np
 Rational = Union[int, str, Fraction]
 
 _ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
 
 
 def _frac(value: Rational) -> Fraction:
@@ -164,54 +164,6 @@ class TrigPoly:
             tuple(f * b for b in self.sin_coeffs),
         )
 
-    # ---- products and derivative ----
-
-    def __mul__(self, other: "TrigPoly") -> "TrigPoly":
-        """Pointwise product, expanded exactly via product-to-sum."""
-        n_out = self.max_mode + other.max_mode
-        cos = [_ZERO] * (n_out + 1)  # index 0 carries the constant term
-        sin = [_ZERO] * (n_out + 1)
-
-        def add_cos(k: int, amount: Fraction):
-            cos[abs(k)] += amount
-
-        def add_sin(k: int, amount: Fraction):
-            if k > 0:
-                sin[k] += amount
-            elif k < 0:
-                sin[-k] -= amount
-            # sin(0) == 0: drop
-
-        a = (self.c0,) + self.cos_coeffs
-        b = (_ZERO,) + self.sin_coeffs
-        c = (other.c0,) + other.cos_coeffs
-        d = (_ZERO,) + other.sin_coeffs
-        for m in range(len(a)):
-            for n in range(len(c)):
-                s, diff = m + n, m - n
-                cc = a[m] * c[n]
-                if cc:  # cos*cos = (cos(m-n) + cos(m+n)) / 2
-                    add_cos(diff, cc * _HALF)
-                    add_cos(s, cc * _HALF)
-                ss = b[m] * d[n]
-                if ss:  # sin*sin = (cos(m-n) - cos(m+n)) / 2
-                    add_cos(diff, ss * _HALF)
-                    add_cos(s, -ss * _HALF)
-                cs = a[m] * d[n]
-                if cs:  # cos(m)*sin(n) = (sin(m+n) - sin(m-n)) / 2
-                    add_sin(s, cs * _HALF)
-                    add_sin(diff, -cs * _HALF)
-                sc = b[m] * c[n]
-                if sc:  # sin(m)*cos(n) = (sin(m+n) + sin(m-n)) / 2
-                    add_sin(s, sc * _HALF)
-                    add_sin(diff, sc * _HALF)
-        return TrigPoly(cos[0], tuple(cos[1:]), tuple(sin[1:]))
-
-    def derivative(self) -> "TrigPoly":
-        cos = tuple(n * b for n, b in enumerate(self.sin_coeffs, start=1))
-        sin = tuple(-n * a for n, a in enumerate(self.cos_coeffs, start=1))
-        return TrigPoly(_ZERO, cos, sin)
-
     # ---- presentation / serialization ----
 
     def pretty(self) -> str:
@@ -241,14 +193,55 @@ class TrigPoly:
         return TrigPoly.from_coeffs(data.get("c0", 0), data.get("cos", ()), data.get("sin", ()))
 
 
+def _gaussian_modes(v: TrigPoly) -> tuple[int, dict[int, tuple[int, int]]]:
+    """(d, P) with v = sum_k P[k] e^{ikt} / (2d), P over nonzero modes only.
+
+    d is the common denominator of the coefficients; each P[k] is a
+    Gaussian integer (re, im), with P[0] = 2 d c0, P[n] = d (a_n - i b_n)
+    and P[-n] its conjugate.
+    """
+    d = math.lcm(v.c0.denominator, *(a.denominator for a in v.cos_coeffs),
+                 *(b.denominator for b in v.sin_coeffs))
+    modes = {0: (2 * d // v.c0.denominator * v.c0.numerator, 0)} if v.c0 else {}
+    for n, (a, b) in enumerate(zip(v.cos_coeffs, v.sin_coeffs), start=1):
+        if a or b:
+            re = d // a.denominator * a.numerator
+            im = d // b.denominator * b.numerator
+            modes[n] = (re, -im)
+            modes[-n] = (re, im)
+    return d, modes
+
+
 def bracket(v: TrigPoly, w: TrigPoly) -> TrigPoly:
     """Circle bracket [v, w] = (v' w - w' v) d/dtheta.
 
     Note the sign: this is the right-translation convention, the negative
     of the commutator that a left-action convention would give.  All
     closure and steering code in this package uses it consistently.
+
+    Computed by the mode law [e_k, e_l] = i(k - l) e_{k+l} on Gaussian
+    integers over the product of the two common denominators, so the only
+    rational arithmetic is one Fraction per output coefficient.  The
+    result has max_mode v.max_mode + w.max_mode, trailing zeros included.
     """
-    return v.derivative() * w - w.derivative() * v
+    dv, p = _gaussian_modes(v)
+    dw, q = _gaussian_modes(w)
+    n_out = v.max_mode + w.max_mode
+    re = [0] * (n_out + 1)
+    im = [0] * (n_out + 1)
+    for k, (pr, pi) in p.items():
+        for l, (qr, qi) in q.items():
+            m = k + l
+            if m >= 0 and k != l:  # real output: modes m < 0 are conjugates
+                re[m] += (k - l) * (pr * qr - pi * qi)
+                im[m] += (k - l) * (pr * qi + pi * qr)
+    # with S_m = sum_{k+l=m} (k - l) P_k Q_l = re[m] + i im[m] and D = dv dw,
+    # [v, w] = sum_m i S_m e^{imt} / 4D: c0 = -Im S_0 / 4D, and for m >= 1
+    # a_m = -Im S_m / 2D, b_m = -Re S_m / 2D
+    den = 2 * dv * dw
+    return TrigPoly(Fraction(-im[0], 2 * den),
+                    tuple(Fraction(-x, den) if x else _ZERO for x in im[1:]),
+                    tuple(Fraction(-x, den) if x else _ZERO for x in re[1:]))
 
 
 def evaluate(v: TrigPoly, theta: float) -> float:

@@ -1,11 +1,13 @@
 """Bracket closure, exact ranks, and the point-rank test."""
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy as sp
 
 from bracketflow.closure import (FieldFamily, PolyField, Polynomial, closure,
-                                 lie_rank_at_point, poly_bracket, spanning_test)
+                                 lie_rank_at_point, poly_bracket, solve_combination,
+                                 spanning_test)
 from bracketflow.trig_fields import TrigPoly, bracket
 
 COS1, SIN1 = TrigPoly.cosine(1), TrigPoly.sine(1)
@@ -41,6 +43,68 @@ def oracle_saturated_rank(fields, cap):
         if not new:
             return rank
         pool.extend(new)
+
+
+# ---- reference: Gauss-Jordan elimination over Fraction ----
+
+def reference_solve(columns, target):
+    """Least-index pivots, free variables zero; None when inconsistent."""
+    n_cols, width = len(columns), len(target)
+    aug = [[Fraction(col[r]) for col in columns] + [Fraction(target[r])] for r in range(width)]
+    pivots = []
+    row_at = 0
+    for col in range(n_cols):
+        sel = next((r for r in range(row_at, width) if aug[r][col] != 0), None)
+        if sel is None:
+            continue
+        aug[row_at], aug[sel] = aug[sel], aug[row_at]
+        inv = 1 / aug[row_at][col]
+        aug[row_at] = [x * inv for x in aug[row_at]]
+        for r in range(width):
+            if r != row_at and aug[r][col] != 0:
+                c = aug[r][col]
+                aug[r] = [x - c * y for x, y in zip(aug[r], aug[row_at])]
+        pivots.append((row_at, col))
+        row_at += 1
+        if row_at == width:
+            break
+    if any(aug[r][n_cols] != 0 for r in range(row_at, width)):
+        return None
+    sol = [Fraction(0)] * n_cols
+    for r, c in pivots:
+        sol[c] = aug[r][n_cols]
+    return sol
+
+
+def test_solve_combination_matches_fraction_reference():
+    rng = np.random.default_rng(17)
+
+    def frac(num, den):
+        return Fraction(int(rng.integers(-num, num + 1)), int(rng.integers(1, den + 1)))
+
+    kinds = {"consistent": 0, "rank_deficient": 0, "inconsistent": 0}
+    for _ in range(150):
+        width, n_cols = int(rng.integers(1, 13)), int(rng.integers(1, 13))
+        rank = int(rng.integers(0, min(width, n_cols) + 1))
+        basis = [[frac(5, 4) for _ in range(width)] for _ in range(rank)]
+        mix = [[int(rng.integers(-2, 3)) for _ in range(rank)] for _ in range(n_cols)]
+        columns = [[sum((c * b[r] for c, b in zip(m, basis)), Fraction(0)) for r in range(width)]
+                   for m in mix]
+        if rng.uniform() < 0.7:
+            coeffs = [frac(3, 3) for _ in range(n_cols)]
+            target = [sum((c * col[r] for c, col in zip(coeffs, columns)), Fraction(0))
+                      for r in range(width)]
+        else:
+            target = [frac(5, 1) for _ in range(width)]
+        got, expected = solve_combination(columns, target), reference_solve(columns, target)
+        assert got == expected
+        if expected is None:
+            kinds["inconsistent"] += 1
+        elif sp.Matrix(columns).rank() < n_cols:
+            kinds["rank_deficient"] += 1
+        else:
+            kinds["consistent"] += 1
+    assert min(kinds.values()) >= 10, kinds
 
 
 # ---- closure examples ----

@@ -1,4 +1,6 @@
 """Gauges, symmetrization, separation, cones, and the decay diagnostic."""
+import signal
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -164,6 +166,35 @@ def test_separate_between_point_clouds():
     assert max(np.array(a) @ cert.functional) == pytest.approx(cert.alpha, abs=1e-12)
     assert min(np.array(b) @ cert.functional) == pytest.approx(cert.beta, abs=1e-12)
     assert cert.alpha < cert.beta
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("separate did not finish")
+
+
+@pytest.mark.parametrize("seed", [[7, 99], [20, 99]])
+def test_separate_terminates_when_the_added_point_is_dropped(seed):
+    # a cloud off a 6-d body of 36 half-spaces, where Wolfe's affine step
+    # drops the point it just added; separate must stop with a valid
+    # certificate instead of picking that point again until its cap
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(24, 6))
+    h = h / np.linalg.norm(h, axis=1, keepdims=True) * rng.uniform(0.5, 1.5, size=(24, 1))
+    body = ConvexBody(np.vstack([np.eye(6), h, -np.eye(6)]))
+    u = rng.normal(size=6)
+    u /= np.linalg.norm(u)
+    x = rng.normal(size=(300, 6))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    cloud = (np.sqrt(6) + 1.5) * u + 0.5 * x * rng.uniform(0, 1, size=(300, 1)) ** (1 / 6)
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(20)
+    try:
+        cert = separate(cloud, body)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert cert.alpha < cert.beta
+    assert cert.gap >= float(cert.functional @ cert.functional) * (1 - 1e-6)
 
 
 # ---- cone extremal points ----

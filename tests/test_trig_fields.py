@@ -33,6 +33,74 @@ def to_sympy(p: TrigPoly, th):
     return expr
 
 
+# ---- reference: product-to-sum expansion of v'w - w'v ----
+
+def reference_product(p: TrigPoly, q: TrigPoly) -> TrigPoly:
+    """Pointwise product, expanded exactly via product-to-sum identities."""
+    half = Fraction(1, 2)
+    n_out = p.max_mode + q.max_mode
+    cos = [Fraction(0)] * (n_out + 1)  # index 0 carries the constant term
+    sin = [Fraction(0)] * (n_out + 1)
+
+    def add_sin(k, amount):
+        if k > 0:
+            sin[k] += amount
+        elif k < 0:
+            sin[-k] -= amount
+
+    a = (p.c0,) + p.cos_coeffs
+    b = (Fraction(0),) + p.sin_coeffs
+    c = (q.c0,) + q.cos_coeffs
+    d = (Fraction(0),) + q.sin_coeffs
+    for m in range(len(a)):
+        for n in range(len(c)):
+            s, diff = m + n, m - n
+            # cos*cos = (cos(m-n) + cos(m+n)) / 2, sin*sin = (cos(m-n) - cos(m+n)) / 2
+            cos[abs(diff)] += (a[m] * c[n] + b[m] * d[n]) * half
+            cos[s] += (a[m] * c[n] - b[m] * d[n]) * half
+            # cos(m)*sin(n) = (sin(m+n) - sin(m-n)) / 2, sin(m)*cos(n) = (sin(m+n) + sin(m-n)) / 2
+            add_sin(s, (a[m] * d[n] + b[m] * c[n]) * half)
+            add_sin(diff, (b[m] * c[n] - a[m] * d[n]) * half)
+    return TrigPoly(cos[0], tuple(cos[1:]), tuple(sin[1:]))
+
+
+def reference_derivative(p: TrigPoly) -> TrigPoly:
+    return TrigPoly(Fraction(0), tuple(n * b for n, b in enumerate(p.sin_coeffs, start=1)),
+                    tuple(-n * a for n, a in enumerate(p.cos_coeffs, start=1)))
+
+
+def reference_bracket(v: TrigPoly, w: TrigPoly) -> TrigPoly:
+    return (reference_product(reference_derivative(v), w)
+            - reference_product(reference_derivative(w), v))
+
+
+def test_bracket_matches_product_to_sum_reference():
+    """Same coefficients and the same tuple length as the expansion of
+    v'w - w'v, on constant, sparse and dense fields of unequal modes."""
+    rng = np.random.default_rng(2024)
+
+    def rand_field(n_modes, density):
+        def coeff():
+            if rng.uniform() >= density:
+                return Fraction(0)
+            return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
+        return TrigPoly.from_coeffs(coeff(), [coeff() for _ in range(n_modes)],
+                                    [coeff() for _ in range(n_modes)])
+
+    pairs = [(TrigPoly.constant(3), TrigPoly.constant("-1/2")),
+             (TrigPoly.constant("2/3"), rand_field(5, 1.0)),
+             (TrigPoly.zero(), rand_field(3, 1.0)),
+             (TrigPoly.cosine(16, "1/7"), TrigPoly.sine(1, 5))]
+    for _ in range(60):
+        n, m = int(rng.integers(0, 17)), int(rng.integers(0, 17))
+        pairs.append((rand_field(n, rng.choice([0.2, 0.6, 1.0])),
+                      rand_field(m, rng.choice([0.2, 0.6, 1.0]))))
+    for v, w in pairs:
+        got, expected = bracket(v, w), reference_bracket(v, w)
+        assert got.max_mode == v.max_mode + w.max_mode
+        assert got.to_json_dict() == expected.to_json_dict()
+
+
 # ---- pinned examples ----
 
 def test_bracket_sin_cos_is_rotation():
