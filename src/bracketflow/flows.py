@@ -5,7 +5,10 @@ lifts live on the real line, so monotonicity and sup distances are
 well defined and there are no branch cuts.  Flows advance every lift
 sample through an adaptive Dormand-Prince integrator that steps the
 whole sample batch together, which keeps repeated applications of the
-same word bitwise reproducible.
+same word bitwise reproducible; ``apply_steps`` is the one loop that
+does so.  Between samples a lift is the trigonometric interpolant of its
+displacement, spectrally accurate for smooth diffeomorphisms, and its
+Newton inverse converges or raises ValueError.
 """
 from __future__ import annotations
 
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .trig_fields import TrigPoly
 
@@ -125,12 +127,86 @@ def flow_states(field: TrigPoly, duration: float, y0: np.ndarray, *,
     return states[:-1], states[-1]
 
 
+def apply_steps(steps: Iterable[tuple[TrigPoly, float]], lift: np.ndarray, *,
+                rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> np.ndarray:
+    """Advance lift samples through each (field, duration) step in order.
+
+    Flows of smooth fields preserve monotone lifts, so a violation after
+    a step means the tolerance was breached and is raised as
+    IntegrationError rather than silently accepted.
+    """
+    for field, t in steps:
+        _, lift = flow_states(field, t, lift, rtol=rtol, atol=atol)
+        if not is_monotone_lift(lift):
+            raise IntegrationError("flow step broke lift monotonicity")
+    return lift
+
+
 def integrate_flow(field: TrigPoly, t: float, theta0: float, *,
                    rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> float:
     """Lift value theta(t) of the flow of ``field`` started at theta0."""
     _, final = flow_states(field, t, np.array([theta0], dtype=float),
                            rtol=rtol, atol=atol)
     return float(final[0])
+
+
+# ---------------------------------------------------------------------------
+# monotone lifts and their trigonometric interpolant
+
+def grid_angles(m: int) -> np.ndarray:
+    """The m sample angles theta_i = 2 pi i / m."""
+    return TWO_PI * np.arange(m) / m
+
+
+def is_monotone_lift(lift: np.ndarray) -> bool:
+    """Strictly increasing samples, also across the wrap to lift[0] + 2 pi."""
+    return bool(np.all(np.diff(lift) > 0) and lift[-1] < lift[0] + TWO_PI)
+
+
+def _displacement_spectrum(lift: np.ndarray) -> np.ndarray:
+    m = lift.size
+    return np.fft.rfft(lift - grid_angles(m))
+
+
+def _eval_spectrum(spec: np.ndarray, m: int, queries: np.ndarray) -> np.ndarray:
+    """Displacement interpolant at arbitrary angles, plus the angles."""
+    ks = np.arange(1, spec.size)
+    factors = np.full(ks.size, 2.0 / m)
+    if m % 2 == 0 and spec.size - 1 == m // 2:
+        factors[-1] = 1.0 / m
+    ang = np.multiply.outer(ks.astype(float), queries)
+    out = (spec[0].real / m
+           + (factors * spec[1:].real) @ np.cos(ang)
+           - (factors * spec[1:].imag) @ np.sin(ang))
+    return queries + out
+
+
+def eval_lift(lift: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Interpolated lift at 1-d query angles (any real values)."""
+    return _eval_spectrum(_displacement_spectrum(lift), lift.size, queries)
+
+
+def invert_lift(lift: np.ndarray) -> np.ndarray:
+    """Grid samples of the inverse lift, by Newton on the interpolant.
+
+    Newton starts from 2 theta - lift (the displacement inverted to first
+    order) and, if that does not converge, once more from the
+    piecewise-linear inverse of the samples.  Raises ValueError if
+    neither start brings the residual below 1e-13.
+    """
+    m = lift.size
+    thetas = grid_angles(m)
+    spec = _displacement_spectrum(lift)
+    dspec = spec * 1j * np.arange(spec.size)  # derivative of the displacement
+    linear = thetas + np.interp(thetas, lift, thetas - lift, period=TWO_PI)
+    for x in (2.0 * thetas - lift, linear):
+        for _ in range(60):
+            fx = _eval_spectrum(spec, m, x) - thetas
+            slope = 1.0 + (_eval_spectrum(dspec, m, x) - x)
+            x = x - fx / np.maximum(slope, 0.05)
+            if float(np.max(np.abs(fx))) < 1e-13:
+                return x
+    raise ValueError("inverse lift did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +231,7 @@ class CircleDiffeo:
             raise ValueError("lift must be a 1-d array with at least 2 samples")
         if not np.all(np.isfinite(arr)):
             raise ValueError("lift values must be finite")
-        if not (np.all(np.diff(arr) > 0) and arr[-1] < arr[0] + TWO_PI):
+        if not is_monotone_lift(arr):
             raise ValueError("lift must be strictly monotone over one period")
 
     @property
@@ -164,33 +240,23 @@ class CircleDiffeo:
 
     @property
     def thetas(self) -> np.ndarray:
-        m = self.grid_size
-        return TWO_PI * np.arange(m) / m
+        return grid_angles(self.grid_size)
 
     @staticmethod
     def identity(grid_size: int = DEFAULT_GRID) -> "CircleDiffeo":
-        return CircleDiffeo(TWO_PI * np.arange(grid_size) / grid_size)
+        return CircleDiffeo(grid_angles(grid_size))
 
     @staticmethod
     def rotation(angle: float, grid_size: int = DEFAULT_GRID) -> "CircleDiffeo":
-        return CircleDiffeo(TWO_PI * np.arange(grid_size) / grid_size + angle)
+        return CircleDiffeo(grid_angles(grid_size) + angle)
 
     def displacement(self) -> np.ndarray:
         return self.lift - self.thetas
 
-    # periodic monotone-cubic interpolation of the lift
-    def _interpolator(self):
-        m = self.grid_size
-        xs = np.append(self.thetas, TWO_PI)
-        ys = np.append(self.lift, self.lift[0] + TWO_PI)
-        return PchipInterpolator(xs, ys)
-
     def __call__(self, x) -> np.ndarray:
         """Evaluate the lift at arbitrary points (vectorized, periodic)."""
         x = np.asarray(x, dtype=float)
-        k = np.floor(x / TWO_PI)
-        base = x - TWO_PI * k
-        return self._interpolator()(base) + TWO_PI * k
+        return eval_lift(self.lift, x.ravel()).reshape(x.shape)
 
     def compose(self, inner: "CircleDiffeo") -> "CircleDiffeo":
         """self after inner: the diffeomorphism theta -> self(inner(theta))."""
@@ -199,15 +265,9 @@ class CircleDiffeo:
         return CircleDiffeo(self(inner.lift))
 
     def inverse(self) -> "CircleDiffeo":
-        """Inverse diffeomorphism, sampled on the same grid."""
-        xs = np.append(self.thetas, TWO_PI)
-        ys = np.append(self.lift, self.lift[0] + TWO_PI)
-        inv = PchipInterpolator(ys, xs)
-        targets = self.thetas
-        k = np.floor((targets - ys[0]) / TWO_PI)
-        base = targets - TWO_PI * k
-        # PCHIP domain is [ys[0], ys[-1]] = one full period
-        return CircleDiffeo(inv(base) + TWO_PI * k)
+        """Inverse diffeomorphism, sampled on the same grid; raises
+        ValueError if Newton on the interpolant does not converge."""
+        return CircleDiffeo(invert_lift(self.lift))
 
     def to_csv(self) -> str:
         lines = ["theta,lift"]
@@ -271,16 +331,9 @@ def apply_word(word: FlowWord, phi: CircleDiffeo, *,
     """Advance every lift sample of phi through each step of the word.
 
     Each step post-composes the flow of its field with the current
-    diffeomorphism.  Flows of smooth fields preserve monotone lifts, so
-    a violation after a step means the tolerance was breached and is
-    raised as IntegrationError rather than silently accepted.
+    diffeomorphism; see ``apply_steps``.
     """
-    lift = np.array(phi.lift, dtype=float)
-    for field, t in word.steps:
-        _, lift = flow_states(field, t, lift, rtol=rtol, atol=atol)
-        if not (np.all(np.diff(lift) > 0) and lift[-1] < lift[0] + TWO_PI):
-            raise IntegrationError("flow step broke lift monotonicity")
-    return CircleDiffeo(lift)
+    return CircleDiffeo(apply_steps(word.steps, phi.lift, rtol=rtol, atol=atol))
 
 
 def commutator_word(x: TrigPoly, y: TrigPoly, s: float) -> FlowWord:
@@ -299,7 +352,6 @@ def commutator_flow_residual(x: TrigPoly, y: TrigPoly, theta: float, t: float, *
     """(loop(theta) - theta) / t^2 for the commutator loop at scale t."""
     if t == 0:
         raise ValueError("t must be nonzero")
-    state = np.array([theta], dtype=float)
-    for field, dt in commutator_word(x, y, t).steps:
-        _, state = flow_states(field, dt, state, rtol=rtol, atol=atol)
+    state = apply_steps(commutator_word(x, y, t).steps, np.array([theta], dtype=float),
+                        rtol=rtol, atol=atol)
     return float((state[0] - theta) / (t * t))

@@ -20,8 +20,9 @@ import numpy as np
 
 from .closure import (ClosureReport, FieldFamily, GeneratedField, closure,
                       solve_combination, _basis_vector)
-from .flows import (TWO_PI, CircleDiffeo, FlowWord, IntegrationError, apply_word,
-                    flow_states)
+from .flows import (TWO_PI, CircleDiffeo, FlowWord, IntegrationError, apply_steps,
+                    apply_word, eval_lift, flow_states, grid_angles, invert_lift,
+                    is_monotone_lift)
 from .trig_fields import TrigPoly
 
 
@@ -61,58 +62,6 @@ def diffeo_distance(phi: CircleDiffeo, psi: CircleDiffeo) -> float:
 
 # ---------------------------------------------------------------------------
 # logarithm profile of a diffeomorphism
-#
-# The planner evaluates lifts between samples through the trigonometric
-# interpolant of the displacement, which is spectrally accurate for the
-# smooth diffeomorphisms steered here; the sampled-diffeo type itself
-# keeps its monotone-cubic rule for general composition.
-
-def _grid(m: int) -> np.ndarray:
-    return TWO_PI * np.arange(m) / m
-
-
-def _displacement_spectrum(lift: np.ndarray) -> np.ndarray:
-    m = lift.size
-    return np.fft.rfft(lift - _grid(m))
-
-
-def _eval_spectrum(spec: np.ndarray, m: int, queries: np.ndarray) -> np.ndarray:
-    """Displacement interpolant at arbitrary angles, plus the angles."""
-    ks = np.arange(1, spec.size)
-    factors = np.full(ks.size, 2.0 / m)
-    if m % 2 == 0 and spec.size - 1 == m // 2:
-        factors[-1] = 1.0 / m
-    ang = np.multiply.outer(ks.astype(float), queries)
-    out = (spec[0].real / m
-           + (factors * spec[1:].real) @ np.cos(ang)
-           - (factors * spec[1:].imag) @ np.sin(ang))
-    return queries + out
-
-
-def _eval_lift(lift: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    return _eval_spectrum(_displacement_spectrum(lift), lift.size, queries)
-
-
-def _invert_lift(lift: np.ndarray) -> np.ndarray:
-    """Grid samples of the inverse lift, by Newton on the interpolant."""
-    m = lift.size
-    thetas = _grid(m)
-    spec = _displacement_spectrum(lift)
-    dspec = spec * 1j * np.arange(spec.size)  # derivative of the displacement
-    x = 2.0 * thetas - lift  # first-order guess: invert the displacement
-    for _ in range(60):
-        fx = _eval_spectrum(spec, m, x) - thetas
-        slope = 1.0 + (_eval_spectrum(dspec, m, x) - x)
-        step = fx / np.maximum(slope, 0.05)
-        x = x - step
-        if float(np.max(np.abs(fx))) < 1e-13:
-            break
-    return x
-
-
-def _is_monotone_lift(lift: np.ndarray) -> bool:
-    return bool(np.all(np.diff(lift) > 0) and lift[-1] < lift[0] + TWO_PI)
-
 
 def _sqrt_lift(lift_phi: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """Functional square root: psi with psi(psi(x)) = phi(x) on the grid."""
@@ -120,7 +69,7 @@ def _sqrt_lift(lift_phi: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     damping = 1.0
     best = math.inf
     for _ in range(200):
-        residual = lift_phi - _eval_lift(psi, psi)
+        residual = lift_phi - eval_lift(psi, psi)
         res = float(np.max(np.abs(residual)))
         if res < 1e-13 or best - res < 1e-16:
             break
@@ -128,7 +77,7 @@ def _sqrt_lift(lift_phi: np.ndarray, thetas: np.ndarray) -> np.ndarray:
             damping *= 0.5
         best = min(best, res)
         candidate = psi + 0.5 * damping * residual
-        if _is_monotone_lift(candidate):
+        if is_monotone_lift(candidate):
             psi = candidate
         else:
             damping *= 0.5
@@ -150,7 +99,7 @@ def flow_logarithm(phi: CircleDiffeo) -> np.ndarray:
 
 def _log_lift(lift: np.ndarray) -> np.ndarray:
     m = lift.size
-    thetas = _grid(m)
+    thetas = grid_angles(m)
     disp = float(np.max(np.abs(lift - thetas)))
     if disp == 0.0:
         return np.zeros(m)
@@ -275,14 +224,6 @@ class SteeringResult:
 # ---------------------------------------------------------------------------
 # planner
 
-def _apply_steps(lift: np.ndarray, steps) -> np.ndarray:
-    for f, t in steps:
-        _, lift = flow_states(f, t, lift)
-        if not _is_monotone_lift(lift):
-            raise IntegrationError("flow step broke lift monotonicity")
-    return lift
-
-
 def steer(problem: SteeringProblem) -> SteeringResult:
     """Plan a flow word from the identity to within epsilon of the target."""
     target = problem.target
@@ -325,10 +266,11 @@ def steer(problem: SteeringProblem) -> SteeringResult:
                 break
             if steps:
                 # what remains: rel with rel(current(x)) = target(x)
-                rel_lift = _eval_lift(target_lift, _invert_lift(current))
-                if not _is_monotone_lift(rel_lift):
+                try:
+                    rel = CircleDiffeo(eval_lift(target_lift, invert_lift(current)))
+                except ValueError:  # no converged inverse, or a non-monotone remainder
                     break
-                u = _log_lift(rel_lift)
+                u = _log_lift(rel.lift)
             else:
                 u = u0
             c0, a, b = fourier_profile(u)
@@ -351,7 +293,7 @@ def steer(problem: SteeringProblem) -> SteeringResult:
                 break
             saved_lift, saved_len = np.array(current), len(steps)
             for f, t in sweep_steps:
-                current = _apply_steps(current, [(f, t)])
+                current = apply_steps([(f, t)], current)
                 steps.append((f, t))
                 trace.append(_sup_shift_distance(current, target_lift))
             new_dist = trace[-1]
@@ -384,7 +326,7 @@ def steer(problem: SteeringProblem) -> SteeringResult:
                     continue
                 for t, st in zip(durations, states + [final]):
                     order += 1
-                    if not _is_monotone_lift(st):
+                    if not is_monotone_lift(st):
                         continue
                     dist = _sup_shift_distance(st, target_lift)
                     if dist < cur_dist and (best is None or dist < best[0]):
@@ -392,7 +334,7 @@ def steer(problem: SteeringProblem) -> SteeringResult:
         if best is None:
             break
         _, _, f, t = best
-        fresh = _apply_steps(np.array(current), [(f, t)])
+        fresh = apply_steps([(f, t)], current)
         fresh_dist = _sup_shift_distance(fresh, target_lift)
         if fresh_dist >= cur_dist:
             break

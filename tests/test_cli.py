@@ -108,7 +108,7 @@ def test_minkowski_separate_cone_mackey_commands(tmp_path):
     assert json.loads(out.read_text())["is_cauchy_prefix"] is True
 
 
-def test_domain_errors_exit_two(tmp_path):
+def test_domain_errors_exit_two(tmp_path, capsys):
     box = {"dim": 2, "halfspaces": [[1, 0], [-1, 0], [0, 1], [0, -1]]}
     inp = write(tmp_path, "sep.json", {"A": [[0.0, 0.0]], "B": {"body": box}})
     assert run(RunConfig("separate", inp)) == 2
@@ -122,6 +122,12 @@ def test_domain_errors_exit_two(tmp_path):
                             "steps": [{"field": TrigPoly.sine(1).to_json_dict(), "t": 0.4}]},
                  "family": fam2, "grid": 128, "epsilon": 1e-3})
     assert run(RunConfig("steer", inp)) == 2
+
+    inp = write(tmp_path, "flow.json",
+                {"field": {"c0": "0", "cos": ["0"] * 7 + ["4"], "sin": []},
+                 "t": 3.0, "grid": 256})
+    assert run(RunConfig("flow", inp)) == 2
+    assert "IntegrationError: flow step broke lift monotonicity" in capsys.readouterr().err
 
 
 def test_io_errors_exit_one(tmp_path):

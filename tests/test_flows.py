@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bracketflow.flows import (CircleDiffeo, FlowWord, apply_word,
+from bracketflow.flows import (CircleDiffeo, FlowWord, IntegrationError, apply_word,
                                commutator_flow_residual, commutator_word,
                                flow_states, integrate_flow)
 from bracketflow.trig_fields import TrigPoly, bracket, evaluate
@@ -108,6 +108,13 @@ def test_words_preserve_monotone_lifts():
         assert out.lift[-1] < out.lift[0] + 2 * math.pi
 
 
+def test_step_breaking_monotonicity_is_reported():
+    # 4 cos 8 theta for 3 time units squeezes lift samples past the tolerance
+    field = TrigPoly.from_coeffs(0, [0] * 7 + [4], [])
+    with pytest.raises(IntegrationError, match="monotonicity"):
+        apply_word(FlowWord.of([(field, 3.0)]), CircleDiffeo.identity(256))
+
+
 def test_lift_validation():
     with pytest.raises(ValueError):
         CircleDiffeo(np.array([0.0, 0.5, 0.4, 1.0]))
@@ -118,7 +125,32 @@ def test_lift_validation():
 def test_compose_and_inverse_roundtrip():
     phi = apply_word(FlowWord.of([(SIN1, 0.6)]), CircleDiffeo.identity(256))
     ident = phi.compose(phi.inverse())
-    assert np.max(np.abs(ident.displacement())) < 1e-6  # monotone-cubic resolution
+    assert np.max(np.abs(ident.displacement())) < 1e-9
+
+
+def test_inverse_is_the_backward_flow():
+    ident = CircleDiffeo.identity(256)
+    for t in (0.6, 1.5, 2.0):
+        phi = apply_word(FlowWord.of([(SIN1, t)]), ident)
+        back = apply_word(FlowWord.of([(SIN1, -t)]), ident)
+        assert np.max(np.abs(phi.inverse().lift - back.lift)) < 1e-9
+
+
+def test_inverse_of_a_nearly_flat_lift_raises():
+    # the slope of this lift falls to 5.5e-4, where Newton on the
+    # interpolant converges from neither start
+    field = TrigPoly.from_coeffs(0, ["1/2"], [0, 1])
+    phi = apply_word(FlowWord.of([(field, 3.0)]), CircleDiffeo.identity(256))
+    with pytest.raises(ValueError, match="did not converge"):
+        phi.inverse()
+
+
+def test_compose_of_a_flow_with_itself_is_the_doubled_flow():
+    ident = CircleDiffeo.identity(256)
+    for t in (0.6, 1.0):
+        phi = apply_word(FlowWord.of([(SIN1, t)]), ident)
+        twice = apply_word(FlowWord.of([(SIN1, 2 * t)]), ident)
+        assert np.max(np.abs(phi.compose(phi).lift - twice.lift)) < 1e-9
 
 
 def test_csv_round_trip():
