@@ -236,7 +236,9 @@ def main(argv=None) -> int:
         p.add_argument("--depth", type=int, default=None, help="depth override")
         p.add_argument("--epsilon", type=float, default=None, help="tolerance override")
         p.add_argument("--budget", type=int, default=None, help="budget override")
-        p.add_argument("--tol", type=float, default=None, help="numeric tolerance override")
+        p.add_argument("--tol", type=float, default=None,
+                       help="Dormand-Prince relative tolerance; single-mode "
+                            "(sl(2)-form) fields flow in closed form and ignore it")
     args = parser.parse_args(argv)
     cfg = RunConfig(
         command=args.command,

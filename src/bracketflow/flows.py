@@ -2,11 +2,14 @@
 
 Diffeomorphisms are kept as monotone lifts sampled on a uniform grid;
 lifts live on the real line, so monotonicity and sup distances are
-well defined and there are no branch cuts.  Flows advance every lift
-sample through an adaptive Dormand-Prince integrator that steps the
-whole sample batch together, which keeps repeated applications of the
-same word bitwise reproducible; ``apply_steps`` is the one loop that
-does so.  Between samples a lift is the trigonometric interpolant of its
+well defined and there are no branch cuts.  ``flow_states`` advances a
+batch of lift samples: a single-mode field c0 + a cos n theta + b sin n
+theta flows in closed form (its span with 1 is a copy of sl(2, R), so
+its flow is the n-fold lift of a Moebius map), and every other field
+through an adaptive Dormand-Prince integrator that steps the whole
+batch together.  Either way repeated applications of the same word are
+bitwise reproducible; ``apply_steps`` is the one loop that applies a
+word.  Between samples a lift is the trigonometric interpolant of its
 displacement, spectrally accurate for smooth diffeomorphisms, and its
 Newton inverse converges or raises ValueError.
 """
@@ -56,8 +59,6 @@ def _rhs(field: TrigPoly):
     v = field.trimmed()
     n = v.max_mode
     c0 = float(v.c0)
-    if n == 0:
-        return lambda y: np.full_like(y, c0)
     a = np.array([float(x) for x in v.cos_coeffs])
     b = np.array([float(x) for x in v.sin_coeffs])
     modes = np.arange(1, n + 1, dtype=float)
@@ -69,15 +70,72 @@ def _rhs(field: TrigPoly):
     return f
 
 
+def _sl2_flow(field: TrigPoly):
+    """Closed-form flow (t, y) -> y(t) of c0 + a cos n theta + b sin n theta.
+
+    Returns None when a mode below the top one is nonzero.  With
+    phi = n theta / 2, the vector u = (cos phi, sin phi) follows the
+    linear flow of M = (n/2) [[-b, a - c0], [a + c0, b]].  As M^2 =
+    -det(M) I, exp(hM) = C(h) I + S(h) M: cos/sin if det M > 0,
+    cosh/sinh if det M < 0 (divided by cosh, which keeps the direction
+    of exp(hM) u), and I + hM if det M = 0; the sign of det M is taken
+    from the exact coefficients.  The lift is the continuous angle of
+    exp(hM) u0, summed over sub-steps on which phi turns by less than
+    pi / 2, so arctan2 of successive vectors cannot skip a branch.
+    """
+    v = field.trimmed()
+    if any(v.cos_coeffs[:-1]) or any(v.sin_coeffs[:-1]):
+        return None
+    c0 = float(v.c0)
+    if v.max_mode == 0:
+        return lambda t, y: y + c0 * t
+    a, b = v.mode(v.max_mode)
+    disc = v.c0 * v.c0 - a * a - b * b  # (2/n)^2 det M
+    a, b = float(a), float(b)
+    half = v.max_mode / 2.0
+    rate = half * math.sqrt(abs(float(disc)))
+    m11, m12, m21 = -half * b, half * (a - c0), half * (a + c0)
+    turn_rate = half * (abs(c0) + math.hypot(a, b))  # bounds |dphi/dt|
+
+    def coefficients(h: float) -> tuple[float, float]:
+        if disc > 0:
+            return math.cos(rate * h), math.sin(rate * h) / rate
+        if disc < 0:
+            return 1.0, math.tanh(rate * h) / rate
+        return 1.0, h
+
+    def flow(t: float, y: np.ndarray) -> np.ndarray:
+        substeps = int(turn_rate * abs(t) / (math.pi / 2)) + 1
+        if substeps > _MAX_STEPS:
+            raise IntegrationError("step budget exhausted")
+        ux, uy = np.cos(half * y), np.sin(half * y)
+        mx, my = m11 * ux + m12 * uy, m21 * ux - m11 * uy
+        px, py = ux, uy
+        turn = np.zeros_like(y)
+        for k in range(1, substeps + 1):
+            c, s = coefficients(t * (k / substeps))
+            qx, qy = c * ux + s * mx, c * uy + s * my
+            turn += np.arctan2(px * qy - py * qx, px * qx + py * qy)
+            px, py = qx, qy
+        return y + turn / half
+
+    return flow
+
+
 def flow_states(field: TrigPoly, duration: float, y0: np.ndarray, *,
                 checkpoints: Optional[Sequence[float]] = None,
                 rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL):
-    """Integrate dy/ds = v(y) from 0 to duration for a batch of starts.
+    """Flow dy/ds = v(y) from 0 to duration for a batch of starts.
 
     ``checkpoints`` must be strictly increasing in magnitude, share the
     sign of ``duration`` and not exceed it; the state at each is
     recorded on the way.  Returns (list of checkpoint states, final
-    state).  Raises IntegrationError on step-size underflow.
+    state).  A single-mode field c0 + a cos n theta + b sin n theta
+    flows in closed form, each checkpoint evaluated from y0, so it
+    equals the direct flow to that time bit for bit and ``rtol`` and
+    ``atol`` are not used.  Every other field goes through adaptive
+    Dormand-Prince.  Raises IntegrationError when either runs past the
+    step budget, or on Dormand-Prince step-size underflow.
     """
     if not math.isfinite(duration):
         raise ValueError("duration must be finite")
@@ -86,13 +144,18 @@ def flow_states(field: TrigPoly, duration: float, y0: np.ndarray, *,
     if duration == 0.0:
         return [y.copy() for _ in cps], y
 
-    f = _rhs(field)
     direction = 1.0 if duration > 0 else -1.0
     for cp in cps:
         if cp * direction <= 0 or abs(cp) > abs(duration) + 1e-30:
             raise ValueError("checkpoints must lie strictly between 0 and duration")
 
     targets = cps + [duration]
+    exact = _sl2_flow(field)
+    if exact is not None:
+        states = [exact(t, y) for t in targets]
+        return states[:-1], states[-1]
+
+    f = _rhs(field)
     states: list[np.ndarray] = []
     t = 0.0
     h = direction * min(0.05, abs(duration) / 10.0)

@@ -174,7 +174,9 @@ def test_point_sets_load_from_csv(tmp_path):
 
 
 def test_tol_override_reaches_integrator(tmp_path):
-    inp = write(tmp_path, "res.json", {"x": TrigPoly.sine(1).to_json_dict(),
+    # x has two modes, so its steps go through Dormand-Prince and its tolerance
+    x = TrigPoly.from_coeffs(0, [0, 1], [1])
+    inp = write(tmp_path, "res.json", {"x": x.to_json_dict(),
                                        "y": TrigPoly.cosine(1).to_json_dict(),
                                        "theta": 0.3, "t": 0.05})
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,5 +1,6 @@
 """Flow integration, sampled diffeomorphisms, and commutator loops."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ def random_field(rng, max_mode=4):
     """Smooth draw: mode amplitudes decay geometrically, so flows over a
     couple of time units stay mildly expanding and the 1e-10 integrator
     tolerance is not amplified past the 1e-8 invariant bounds."""
-    from fractions import Fraction
     c0 = Fraction(int(rng.integers(-2, 3)), 4)
     cos = [Fraction(int(rng.integers(-2, 3)), 4 * 2 ** n) for n in range(max_mode)]
     sin = [Fraction(int(rng.integers(-2, 3)), 4 * 2 ** n) for n in range(max_mode)]
@@ -60,6 +60,9 @@ def test_group_law_randomized():
 def test_integration_failure_reported():
     with pytest.raises(ValueError):
         integrate_flow(SIN1, math.inf, 0.0)
+    # the closed form needs more sub-steps than the step budget allows
+    with pytest.raises(IntegrationError, match="budget"):
+        integrate_flow(SIN1, 1e7, 0.0)
 
 
 # ---- words and sampled diffeos ----
@@ -71,8 +74,9 @@ def test_empty_word_keeps_diffeo():
 
 
 def test_single_step_word_matches_pointwise_flow():
-    # batch and scalar runs take different adaptive steps; they agree to
-    # integration accuracy, not bitwise
+    # under Dormand-Prince, batch and scalar runs take different adaptive
+    # steps and agree to integration accuracy, not bitwise; sin theta flows
+    # in closed form, which also holds to this bound
     phi = CircleDiffeo.identity(32)
     out = apply_word(FlowWord.of([(SIN1, 0.7)]), phi)
     for theta, lifted in zip(phi.lift, out.lift):
@@ -109,7 +113,8 @@ def test_words_preserve_monotone_lifts():
 
 
 def test_step_breaking_monotonicity_is_reported():
-    # 4 cos 8 theta for 3 time units squeezes lift samples past the tolerance
+    # 4 cos 8 theta for 3 time units contracts by e^-48 near its sinks and
+    # collapses neighbouring lift samples onto equal floats
     field = TrigPoly.from_coeffs(0, [0] * 7 + [4], [])
     with pytest.raises(IntegrationError, match="monotonicity"):
         apply_word(FlowWord.of([(field, 3.0)]), CircleDiffeo.identity(256))
@@ -160,14 +165,84 @@ def test_csv_round_trip():
 
 
 def test_flow_states_checkpoints_consistent():
+    # sin theta flows in closed form, each checkpoint evaluated from y0
     y0 = CircleDiffeo.identity(32).lift
     states, final = flow_states(SIN1, 0.8, y0, checkpoints=[0.2, 0.4])
-    # each checkpointed state matches a direct integration to that time
     for t_cp, st in zip([0.2, 0.4], states):
         _, direct = flow_states(SIN1, t_cp, y0)
-        assert np.max(np.abs(st - direct)) < 1e-10
+        assert np.array_equal(st, direct)
     _, direct = flow_states(SIN1, 0.8, y0)
+    assert np.array_equal(final, direct)
+
+
+def test_flow_states_checkpoints_consistent_two_modes():
+    # two modes go through Dormand-Prince, which records checkpoints on the way
+    field = TrigPoly.from_coeffs(0, [0, "1/2"], [1])
+    y0 = CircleDiffeo.identity(32).lift
+    states, final = flow_states(field, 0.8, y0, checkpoints=[0.2, 0.4])
+    # each checkpointed state matches a direct integration to that time
+    for t_cp, st in zip([0.2, 0.4], states):
+        _, direct = flow_states(field, t_cp, y0)
+        assert np.max(np.abs(st - direct)) < 1e-10
+    _, direct = flow_states(field, 0.8, y0)
     assert np.max(np.abs(final - direct)) < 1e-10
+
+
+# ---- closed-form sl(2) flows ----
+
+def test_sl2_flows_match_mpmath():
+    # hyperbolic, elliptic, parabolic and a mode-3 field, against mpmath's
+    # Taylor integrator at 20 digits; t = -2 runs back from the t = 2 point
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    fields = [SIN1, TrigPoly.from_coeffs("3/2", [1], ["-1/2"]),
+              TrigPoly.from_coeffs(1, [0, 1], [0, 0]),
+              TrigPoly.from_coeffs("1/4", [0, 0, "1/4"], [0, 0, 0])]
+    worst = 0.0
+    with mp.workdps(20):
+        for field in fields:
+            n = field.max_mode
+            c0, a, b = (mpmath.mpf(q.numerator) / q.denominator
+                        for q in (field.c0, *field.mode(n)))
+            for theta0 in (0.3, 2.0, 4.5):
+                reference = mp.odefun(
+                    lambda s, y: c0 + a * mpmath.cos(n * y) + b * mpmath.sin(n * y),
+                    0, mpmath.mpf(theta0), degree=20)
+                half, end = float(reference(0.5)), float(reference(2.0))
+                errors = (integrate_flow(field, 0.5, theta0) - half,
+                          integrate_flow(field, 2.0, theta0) - end,
+                          integrate_flow(field, -2.0, end) - theta0)
+                worst = max(worst, *map(abs, errors))
+    assert worst < 1e-13
+
+
+def test_sl2_elliptic_flow_is_periodic():
+    # with c0^2 > a^2 + b^2 every point advances by 2 pi / n in the period
+    # (2 pi / n) / sqrt(c0^2 - a^2 - b^2), the integral of d theta / v over
+    # 2 pi / n; three periods turn phi = n theta / 2 by 3 pi, over many sub-steps
+    y0 = CircleDiffeo.identity(64).lift
+    for c0, a, b, n in ((1, "1/2", 0, 1), ("3/2", 1, "-1/2", 2), (-1, "1/4", "1/2", 3)):
+        c0, a, b = Fraction(c0), Fraction(a), Fraction(b)
+        field = TrigPoly.constant(c0) + TrigPoly.cosine(n, a) + TrigPoly.sine(n, b)
+        period = 2 * math.pi / n / math.sqrt(c0 * c0 - a * a - b * b)
+        _, out = flow_states(field, 3 * period, y0)
+        shift = math.copysign(3 * 2 * math.pi / n, c0)
+        assert np.max(np.abs(out - (y0 + shift))) < 1e-12
+
+
+def test_sl2_group_law():
+    rng = np.random.default_rng(11)
+    y0 = CircleDiffeo.identity(64).lift
+    worst = 0.0
+    for _ in range(40):
+        n = int(rng.integers(1, 5))
+        c0, a, b = (Fraction(int(p), 4) for p in rng.integers(-2, 3, size=3))
+        field = TrigPoly.constant(c0) + TrigPoly.cosine(n, a) + TrigPoly.sine(n, b)
+        s, t = rng.uniform(-2, 2, size=2)
+        _, direct = flow_states(field, s + t, y0)
+        _, chained = flow_states(field, t, flow_states(field, s, y0)[1])
+        worst = max(worst, float(np.max(np.abs(direct - chained))))
+    assert worst < 1e-12
 
 
 # ---- commutator loops ----
