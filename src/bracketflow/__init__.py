@@ -32,6 +32,7 @@ from .steering import (
 from .convex import (
     ConvexBody,
     ConeResult,
+    InvalidCertificate,
     InvalidSeed,
     MackeyReport,
     SeparationCertificate,
@@ -51,7 +52,7 @@ __all__ = [
     "commutator_flow_residual", "commutator_word", "integrate_flow",
     "NotBracketGenerating", "SteeringProblem", "SteeringResult",
     "default_family", "diffeo_distance", "flow_logarithm", "steer",
-    "ConvexBody", "ConeResult", "InvalidSeed", "MackeyReport",
+    "ConvexBody", "ConeResult", "InvalidCertificate", "InvalidSeed", "MackeyReport",
     "SeparationCertificate", "SetsIntersect", "cone_extremal_point",
     "mackey_cauchy_diagnostic", "minkowski", "separate", "symmetrize",
 ]

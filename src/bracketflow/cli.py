@@ -18,8 +18,9 @@ from typing import Optional
 import numpy as np
 
 from .closure import FieldFamily, closure, spanning_test
-from .convex import (ConvexBody, InvalidSeed, SetsIntersect, cone_extremal_point,
-                     mackey_cauchy_diagnostic, minkowski, separate, symmetrize)
+from .convex import (ConvexBody, InvalidCertificate, InvalidSeed, SetsIntersect,
+                     cone_extremal_point, mackey_cauchy_diagnostic, minkowski, separate,
+                     symmetrize)
 from .flows import CircleDiffeo, FlowWord, IntegrationError, apply_word, \
     commutator_flow_residual
 from .steering import NotBracketGenerating, SteeringProblem, default_family, steer
@@ -210,7 +211,7 @@ def run(cfg: RunConfig) -> int:
         return 1
     try:
         summary = _HANDLERS[cfg.command](cfg, data)
-    except (NotBracketGenerating, SetsIntersect, InvalidSeed,
+    except (NotBracketGenerating, SetsIntersect, InvalidSeed, InvalidCertificate,
             IntegrationError, ValueError, TypeError, KeyError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -4,6 +4,12 @@ Bodies are bounded convex polytopes with 0 interior, held in the
 normalized half-space form {x : <h_i, x> <= 1}.  The gauge of such a
 body is exactly max(0, max_i <h_i, x>), which makes every functional
 here finitely checkable.
+
+Each body is checked bounded by one feasibility LP (Gordan-Stiemke).
+Separation runs Wolfe's min-norm-point algorithm on support points of
+the two sets, so the Minkowski difference is never built, and checks its
+certificate before returning it.  Gauges of many differences and cone
+memberships of many points are evaluated as one array expression each.
 """
 from __future__ import annotations
 
@@ -26,23 +32,28 @@ class InvalidSeed(Exception):
     """Cone construction seeded with a1 not in B or x0 in B."""
 
 
+class InvalidCertificate(Exception):
+    """A separation certificate failed its own check (alpha < beta, optimality)."""
+
+
 # ---------------------------------------------------------------------------
 # bodies
 
 def _bounded_by_lp(normals: np.ndarray) -> bool:
-    """{x : Nx <= 1} is bounded iff every coordinate LP has a finite optimum."""
+    """{x : Nx <= 1} is bounded iff the normals positively span R^n.
+
+    By Gordan-Stiemke that holds exactly when rank N = n and some
+    lambda >= 1 has N^T lambda = 0: one feasibility LP.
+    """
     m, n = normals.shape
-    ones = np.ones(m)
-    for j in range(n):
-        for sign in (1.0, -1.0):
-            c = np.zeros(n)
-            c[j] = -sign  # maximize sign * x_j
-            res = linprog(c, A_ub=normals, b_ub=ones, bounds=[(None, None)] * n,
-                          method="highs")
-            if res.status == 3:  # unbounded
-                return False
-            if res.status != 0:
-                raise RuntimeError(f"boundedness LP failed with status {res.status}")
+    if np.linalg.matrix_rank(normals) < n:
+        return False
+    res = linprog(np.zeros(m), A_eq=normals.T, b_eq=np.zeros(n), bounds=(1.0, None),
+                  method="highs")
+    if res.status == 2:  # infeasible: some x != 0 has Nx <= 0
+        return False
+    if res.status != 0:
+        raise RuntimeError(f"boundedness LP failed with status {res.status}")
     return True
 
 
@@ -175,24 +186,43 @@ def symmetrize(body: ConvexBody) -> ConvexBody:
 # ---------------------------------------------------------------------------
 # minimum-norm point and separation
 
-def _min_norm_point(points: np.ndarray, tol: float = 1e-13) -> np.ndarray:
-    """Wolfe's algorithm: the min-norm point of the convex hull of rows."""
-    P = np.atleast_2d(np.asarray(points, dtype=float))
-    k = P.shape[0]
-    start = int(np.argmin(np.einsum("ij,ij->i", P, P)))
+_SCAN_PAIRS = 1 << 16  # difference rows per block of the closest-pair scan
+
+
+def _min_norm_point(A: np.ndarray, B: np.ndarray, tol: float = 1e-13) -> np.ndarray:
+    """Wolfe's algorithm: the min-norm point of conv(A) - conv(B).
+
+    The difference set is never built (Gilbert-Johnson-Keerthi): the
+    point entering the corral is the support pair (argmin_A <a, x>,
+    argmax_B <b, x>), and the corral holds index pairs (i, j) that stand
+    for the rows A[i] - B[j].  Only the closest-pair start looks at every
+    pair, one block of _SCAN_PAIRS at a time.
+    """
+    def rows(pairs):
+        idx = np.array(pairs)
+        return A[idx[:, 0]] - B[idx[:, 1]]
+
+    nb = B.shape[0]
+    block = max(1, _SCAN_PAIRS // nb)
+    start, best = (0, 0), math.inf
+    for i0 in range(0, A.shape[0], block):
+        diff = (A[i0:i0 + block, None, :] - B[None, :, :]).reshape(-1, A.shape[1])
+        sq = np.einsum("ij,ij->i", diff, diff)
+        j = int(np.argmin(sq))
+        if sq[j] < best:
+            start, best = (i0 + j // nb, j % nb), sq[j]
     S = [start]
     w = np.array([1.0])
-    x = P[start].copy()
-    for _ in range(16 * k + 64):
-        dots = P @ x
+    x = A[start[0]] - B[start[1]]
+    for _ in range(16 * A.shape[0] * nb + 64):
+        j = (int(np.argmin(A @ x)), int(np.argmax(B @ x)))
         xx = float(x @ x)
-        j = int(np.argmin(dots))
-        if dots[j] >= xx - tol * max(1.0, xx) or j in S:
+        if float((A[j[0]] - B[j[1]]) @ x) >= xx - tol * max(1.0, xx) or j in S:
             break
         S.append(j)
         w = np.append(w, 0.0)
         while True:
-            Q = P[S]
+            Q = rows(S)
             r = len(S)
             M = np.zeros((r + 1, r + 1))
             M[:r, :r] = Q @ Q.T
@@ -216,7 +246,7 @@ def _min_norm_point(points: np.ndarray, tol: float = 1e-13) -> np.ndarray:
             S = [s for s, kp in zip(S, keep) if kp]
             w = w[keep]
             w = w / w.sum()
-        x = w @ P[S]
+        x = w @ rows(S)
         if j not in S:
             # the affine step dropped the point just added: x stays put and
             # the same point would be picked again on every iteration
@@ -251,48 +281,52 @@ class SeparationCertificate:
 def separate(a_points, b: Union[ConvexBody, np.ndarray, Sequence]) -> SeparationCertificate:
     """Separate conv(a_points) from a polytope (body or point hull).
 
-    The minimum-distance pair is found via the min-norm point of the
+    The minimum-distance pair is found via the min-norm point v of the
     Minkowski difference; the functional lies along that difference and
     is oriented so the a-side sits below: ell(a) <= alpha < beta <= ell(b).
+    Before returning, the certificate must pass alpha < beta and Wolfe
+    optimality, beta - alpha >= |ell|^2 (1 - 1e-6); otherwise
+    InvalidCertificate is raised.
     """
     A = np.atleast_2d(np.asarray(a_points, dtype=float))
     B = b.vertices() if isinstance(b, ConvexBody) else np.atleast_2d(np.asarray(b, dtype=float))
     if A.shape[1] != B.shape[1]:
         raise ValueError("dimension mismatch")
-    diff = (A[:, None, :] - B[None, :, :]).reshape(-1, A.shape[1])
-    v = _min_norm_point(diff)
+    v = _min_norm_point(A, B)
     dist = float(np.linalg.norm(v))
     if dist <= DEGENERACY_TOL:
         raise SetsIntersect(f"hulls are within {dist:.3e} of touching")
     ell = -v
     scores_a = A @ ell
     scores_b = B @ ell
-    return SeparationCertificate(
+    cert = SeparationCertificate(
         functional=ell,
         alpha=float(np.max(scores_a)),
         beta=float(np.min(scores_b)),
         witness_a=A[int(np.argmax(scores_a))],
         witness_b=B[int(np.argmin(scores_b))],
     )
+    norm2 = float(ell @ ell)
+    if not (cert.alpha < cert.beta and cert.gap >= norm2 * (1.0 - 1e-6)):
+        raise InvalidCertificate(f"gap {cert.gap:.9g} against |ell|^2 {norm2:.9g}")
+    return cert
 
 
 # ---------------------------------------------------------------------------
 # cone construction
 
 def _feasible_s(coef0: np.ndarray, coef1: np.ndarray, rho: float,
-                s_min: float, tol: float) -> bool:
-    """Is there s >= s_min with coef0 + s*coef1 <= rho componentwise?"""
-    lo, hi = s_min, math.inf
-    for c, g in zip(coef0, coef1):
-        bound = rho + tol - c
-        if abs(g) <= 1e-300:
-            if bound < 0:
-                return False
-        elif g > 0:
-            hi = min(hi, bound / g)
-        else:
-            lo = max(lo, bound / g)
-    return lo <= hi
+                s_min: float, tol: float) -> np.ndarray:
+    """Per row g of coef1: is there s >= s_min with coef0 + s*g <= rho componentwise?"""
+    bound = rho + tol - coef0
+    pos = coef1 > 1e-300
+    neg = coef1 < -1e-300
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = bound / coef1
+    hi = np.where(pos, ratio, math.inf).min(axis=1)
+    lo = np.maximum(s_min, np.where(neg, ratio, -math.inf).max(axis=1))
+    blocked = np.any(~pos & ~neg & (bound < 0), axis=1)
+    return ~blocked & (lo <= hi)
 
 
 @dataclass
@@ -317,49 +351,44 @@ class ConeResult:
     iterates: list[tuple[np.ndarray, float]]  # (a_k, rho_k)
 
     # -- membership tests (all via one-variable interval intersection:
-    # b = a + (x - a1)/s with x in a gauge ball is linear in s)
+    # b = a + (x - a1)/s with x in a gauge ball is linear in s).  Each takes
+    # one point (answer: bool) or a row array of points (one bool per row).
 
-    def in_cone(self, point, vertex=None, tol: float = DEGENERACY_TOL) -> bool:
+    def _members(self, points, apex, center, rho: float, s_min: float,
+                 tol: float) -> Union[bool, np.ndarray]:
+        p = np.asarray(points, dtype=float)
+        delta = np.atleast_2d(p) - apex
+        N = self.body.normals
+        # stacked matrix-vector products: the same floats as N @ row, row by row
+        coef1 = np.matmul(N, delta[:, :, None])[:, :, 0]
+        inside = (np.linalg.norm(delta, axis=1) <= tol) | \
+            _feasible_s(N @ (self.a1 - center), coef1, rho, s_min, tol)
+        return bool(inside[0]) if p.ndim == 1 else inside
+
+    def in_cone(self, point, vertex=None,
+                tol: float = DEGENERACY_TOL) -> Union[bool, np.ndarray]:
         """point in {vertex + t (x - a1) : x in ball(x0, alpha/4), t >= 0}."""
         a = self.vertex if vertex is None else np.asarray(vertex, dtype=float)
-        p = np.asarray(point, dtype=float)
-        if np.linalg.norm(p - a) <= tol:
-            return True
-        N = self.body.normals
-        return _feasible_s(N @ (self.a1 - self.x0), N @ (p - a),
-                           self.alpha / 4.0, 1e-12, tol)
+        return self._members(point, a, self.x0, self.alpha / 4.0, 1e-12, tol)
 
-    def in_segment_cone(self, point, vertex=None, tol: float = DEGENERACY_TOL) -> bool:
+    def in_segment_cone(self, point, vertex=None,
+                        tol: float = DEGENERACY_TOL) -> Union[bool, np.ndarray]:
         """Same cone but with the parameter capped at t <= 1 (s >= 1)."""
         a = self.vertex if vertex is None else np.asarray(vertex, dtype=float)
-        p = np.asarray(point, dtype=float)
-        if np.linalg.norm(p - a) <= tol:
-            return True
-        N = self.body.normals
-        return _feasible_s(N @ (self.a1 - self.x0), N @ (p - a),
-                           self.alpha / 4.0, 1.0, tol)
+        return self._members(point, a, self.x0, self.alpha / 4.0, 1.0, tol)
 
-    def in_neighborhood(self, point, tol: float = DEGENERACY_TOL) -> bool:
+    def in_neighborhood(self, point,
+                        tol: float = DEGENERACY_TOL) -> Union[bool, np.ndarray]:
         """Closed neighborhood: segment cone from a1 over the shifted base."""
-        p = np.asarray(point, dtype=float)
-        if np.linalg.norm(p - self.a1) <= tol:
-            return True
-        N = self.body.normals
         center = self.x0 + self.epsilon * self.axis
-        return _feasible_s(N @ (self.a1 - center), N @ (p - self.a1),
-                           self.alpha / 3.0, 1.0, tol)
+        return self._members(point, self.a1, center, self.alpha / 3.0, 1.0, tol)
 
     def isolates(self, b_points, tol: float = DEGENERACY_TOL) -> bool:
         """Brute force: neighborhood ∩ cone(a*) ∩ B == {a*}."""
         B = np.atleast_2d(np.asarray(b_points, dtype=float))
-        hit = False
-        for p in B:
-            inside = self.in_neighborhood(p, tol) and self.in_cone(p, tol=tol)
-            if np.linalg.norm(p - self.vertex) <= tol:
-                hit = hit or inside
-            elif inside:
-                return False
-        return hit
+        inside = self.in_neighborhood(B, tol) & self.in_cone(B, tol=tol)
+        at_vertex = np.linalg.norm(B - self.vertex, axis=1) <= tol
+        return bool(np.any(inside & at_vertex)) and not np.any(inside & ~at_vertex)
 
     def to_json_dict(self) -> dict:
         return {
@@ -451,8 +480,9 @@ def cone_extremal_point(b_points, a1, x0, body: ConvexBody,
 
     current = a1.copy()
     for _ in range(B.shape[0] + 1):
-        members = [p for p in B if result.in_segment_cone(p, vertex=current, tol=tol)]
-        gains = np.array([float(ell @ (p - current)) for p in members])
+        members = B[result.in_segment_cone(B, vertex=current, tol=tol)]
+        # stacked dot products: the same floats as ell @ (p - current), point by point
+        gains = np.matmul((members - current)[:, None, :], ell[:, None])[:, 0, 0]
         d = float(np.max(gains)) if len(gains) else 0.0
         d = max(d, 0.0)
         result.iterates.append((current.copy(), truncated_diameter(current, d)))
@@ -498,11 +528,14 @@ def mackey_cauchy_diagnostic(prefix, m_body: ConvexBody) -> MackeyReport:
     if pts.shape[1] != m_body.dim:
         raise ValueError("dimension mismatch")
     k = pts.shape[0]
+    i, j = np.triu_indices(k, 1)
+    # stacked matrix-vector products give the same floats as minkowski pair
+    # by pair; the gemm form (pts[i] - pts[j]) @ N.T rounds differently
+    top = np.matmul(m_body.normals, (pts[i] - pts[j])[:, :, None])[:, :, 0].max(axis=1)
     mu = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            mu[i, j] = mu[j, i] = minkowski(m_body, pts[i] - pts[j])
-    tail = np.array([mu[kk:, kk:].max() if kk < k else 0.0 for kk in range(k)])
+    mu[i, j] = mu[j, i] = np.where(top > 0.0, top, 0.0)  # max(0.0, .), never -0.0
+    # T[k] = max over k <= i < j of mu_ij: reverse running max of row maxima
+    tail = np.maximum.accumulate(np.triu(mu).max(axis=1, initial=0.0)[::-1])[::-1]
     ok = True
     for kk in range(k - 1):
         if tail[kk] == 0.0:

@@ -1,11 +1,16 @@
 """Gauges, symmetrization, separation, cones, and the decay diagnostic."""
+import json
+import math
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from bracketflow.convex import (ConvexBody, InvalidSeed, SetsIntersect,
+from bracketflow import convex
+from bracketflow.cli import RunConfig, run
+from bracketflow.convex import (ConvexBody, InvalidCertificate, InvalidSeed, SetsIntersect,
                                 cone_extremal_point, mackey_cauchy_diagnostic,
                                 minkowski, separate, symmetrize)
 
@@ -314,3 +319,322 @@ def test_asymmetric_m_rejected():
     skew = ConvexBody(np.array([[1.0, 0.0], [-0.5, 0.0], [0.0, 1.0], [0.0, -1.0]]))
     with pytest.raises(ValueError):
         mackey_cauchy_diagnostic([[0.0, 0.0], [0.1, 0.0]], skew)
+
+
+# ---- reference implementations: the loops the array code replaced ----
+
+def _bounded_by_coordinate_lps(normals):
+    """{x : Nx <= 1} is bounded iff every coordinate LP has a finite optimum."""
+    m, n = normals.shape
+    ones = np.ones(m)
+    for j in range(n):
+        for sign in (1.0, -1.0):
+            c = np.zeros(n)
+            c[j] = -sign  # maximize sign * x_j
+            res = linprog(c, A_ub=normals, b_ub=ones, bounds=[(None, None)] * n,
+                          method="highs")
+            if res.status == 3:  # unbounded
+                return False
+            assert res.status == 0
+    return True
+
+
+def _mackey_by_pairs(pts, body):
+    """mu pair by pair through minkowski, and the O(k^3) tail maxima."""
+    k = pts.shape[0]
+    mu = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            mu[i, j] = mu[j, i] = minkowski(body, pts[i] - pts[j])
+    tail = np.array([mu[kk:, kk:].max() if kk < k else 0.0 for kk in range(k)])
+    return mu, tail
+
+
+def _min_norm_point_of_rows(points, tol=1e-13):
+    """Wolfe's algorithm on the rows of the whole difference matrix."""
+    P = np.atleast_2d(np.asarray(points, dtype=float))
+    k = P.shape[0]
+    start = int(np.argmin(np.einsum("ij,ij->i", P, P)))
+    S = [start]
+    w = np.array([1.0])
+    x = P[start].copy()
+    for _ in range(16 * k + 64):
+        dots = P @ x
+        xx = float(x @ x)
+        j = int(np.argmin(dots))
+        if dots[j] >= xx - tol * max(1.0, xx) or j in S:
+            break
+        S.append(j)
+        w = np.append(w, 0.0)
+        while True:
+            Q = P[S]
+            r = len(S)
+            M = np.zeros((r + 1, r + 1))
+            M[:r, :r] = Q @ Q.T
+            M[:r, r] = 1.0
+            M[r, :r] = 1.0
+            rhs = np.zeros(r + 1)
+            rhs[r] = 1.0
+            lam = np.linalg.lstsq(M, rhs, rcond=None)[0][:r]
+            if np.all(lam > 1e-12):
+                w = lam
+                break
+            mask = lam <= 1e-12
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(w - lam > 1e-18, w / (w - lam), np.inf)
+            theta = min(1.0, float(np.min(ratios[mask])) if np.any(mask) else 1.0)
+            w = (1.0 - theta) * w + theta * lam
+            keep = w > 1e-12
+            if np.all(keep):
+                keep[int(np.argmin(w))] = False
+            S = [s for s, kp in zip(S, keep) if kp]
+            w = w[keep]
+            w = w / w.sum()
+        x = w @ P[S]
+        if j not in S:
+            break
+    return x
+
+
+def _separate_by_difference_matrix(A, B):
+    """(ell, alpha, beta, witness_a, witness_b) from the materialised A - B."""
+    diff = (A[:, None, :] - B[None, :, :]).reshape(-1, A.shape[1])
+    ell = -_min_norm_point_of_rows(diff)
+    scores_a, scores_b = A @ ell, B @ ell
+    return (ell, float(np.max(scores_a)), float(np.min(scores_b)),
+            A[int(np.argmax(scores_a))], B[int(np.argmin(scores_b))])
+
+
+def _feasible_s_scalar(coef0, coef1, rho, s_min, tol):
+    """Is there s >= s_min with coef0 + s*coef1 <= rho componentwise?"""
+    lo, hi = s_min, math.inf
+    for c, g in zip(coef0, coef1):
+        bound = rho + tol - c
+        if abs(g) <= 1e-300:
+            if bound < 0:
+                return False
+        elif g > 0:
+            hi = min(hi, bound / g)
+        else:
+            lo = max(lo, bound / g)
+    return lo <= hi
+
+
+def _member_by_point(res, p, apex, center, rho, s_min, tol=convex.DEGENERACY_TOL):
+    if np.linalg.norm(p - apex) <= tol:
+        return True
+    N = res.body.normals
+    return _feasible_s_scalar(N @ (res.a1 - center), N @ (p - apex), rho, s_min, tol)
+
+
+def _masks_by_point(res, B, vertex):
+    """(cone, segment cone, neighborhood) membership, one point at a time."""
+    center = res.x0 + res.epsilon * res.axis
+    return (np.array([_member_by_point(res, p, vertex, res.x0, res.alpha / 4.0, 1e-12)
+                      for p in B]),
+            np.array([_member_by_point(res, p, vertex, res.x0, res.alpha / 4.0, 1.0)
+                      for p in B]),
+            np.array([_member_by_point(res, p, res.a1, center, res.alpha / 3.0, 1.0)
+                      for p in B]))
+
+
+def _isolates_by_point(res, B, tol=convex.DEGENERACY_TOL):
+    hit = False
+    for p in B:
+        inside = _member_by_point(res, p, res.a1, res.x0 + res.epsilon * res.axis,
+                                  res.alpha / 3.0, 1.0) \
+            and _member_by_point(res, p, res.vertex, res.x0, res.alpha / 4.0, 1e-12)
+        if np.linalg.norm(p - res.vertex) <= tol:
+            hit = hit or inside
+        elif inside:
+            return False
+    return hit
+
+
+def _stall_case(seed):
+    """300 points off a 6-d body of 36 half-spaces (860 vertices)."""
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(24, 6))
+    h = h / np.linalg.norm(h, axis=1, keepdims=True) * rng.uniform(0.5, 1.5, size=(24, 1))
+    body = ConvexBody(np.vstack([np.eye(6), h, -np.eye(6)]))
+    u = rng.normal(size=6)
+    u /= np.linalg.norm(u)
+    x = rng.normal(size=(300, 6))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return (np.sqrt(6) + 1.5) * u + 0.5 * x * rng.uniform(0, 1, size=(300, 1)) ** (1 / 6), body
+
+
+def _ball_cloud(rng, count, n, centre, radius):
+    x = rng.normal(size=(count, n))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return centre + radius * x * rng.uniform(0, 1, size=(count, 1)) ** (1 / n)
+
+
+# ---- the array code against the references ----
+
+def _normal_sets():
+    rng = np.random.default_rng(30)
+    sets = []
+    for _ in range(12):  # bounded: box faces plus random cuts
+        sets.append((random_body(rng, int(rng.integers(2, 7))).normals, True))
+    for _ in range(8):  # unbounded: every normal in the closed half-space <h, u> >= 0
+        n = int(rng.integers(2, 6))
+        u = rng.normal(size=n)
+        h = rng.normal(size=(int(rng.integers(1, 3 * n)), n))
+        h -= np.minimum(h @ u, 0.0)[:, None] * u / (u @ u)  # some land on <h, u> = 0
+        sets.append((h, False))
+    for _ in range(6):  # rank deficient: positively spanning a hyperplane only
+        n = int(rng.integers(2, 6))
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0][:, :n - 1]
+        sets.append((np.vstack([np.eye(n - 1), -np.ones((1, n - 1))]) @ q.T, False))
+    sets += [(np.array([[1.0], [-0.5]]), True), (np.array([[2.0], [0.3], [-4.0]]), True),
+             (np.array([[1.0], [0.5]]), False), (np.array([[-1.0]]), False),
+             (np.array([[0.0, 0.0]]), False), (np.eye(3), False)]
+    return sets
+
+
+def test_boundedness_lp_matches_coordinate_lps():
+    sets = _normal_sets()
+    assert len(sets) >= 30
+    for normals, bounded in sets:
+        assert convex._bounded_by_lp(normals) == _bounded_by_coordinate_lps(normals) == bounded
+
+
+def test_one_boundedness_lp_per_body(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(convex, "linprog", counted)
+    ConvexBody.cross_polytope(6)
+    assert len(calls) == 1
+
+
+def test_bodies_in_one_and_six_dimensions_accepted():
+    interval = ConvexBody.from_vertices([[-1.0], [3.0]])
+    assert interval.vertices().tolist() == [[-1.0], [3.0]]
+    assert ConvexBody.cross_polytope(6).vertices().shape == (12, 6)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_mackey_matches_pairwise_loop(n):
+    rng = np.random.default_rng(40 + n)
+    m_body = symmetrize(random_body(rng, n))
+    u = rng.normal(size=n)
+    prefixes = [np.array([0.93 ** k * u for k in range(60)]),
+                np.array([(-1.0) ** k * u for k in range(25)]),
+                rng.normal(size=(40, n)),
+                np.repeat(rng.normal(size=(5, n)), 3, axis=0)]  # zero differences
+    for prefix in prefixes:
+        report = mackey_cauchy_diagnostic(prefix, m_body)
+        mu, tail = _mackey_by_pairs(prefix, m_body)
+        assert report.mu.tobytes() == mu.tobytes()
+        assert report.tail_max.tobytes() == tail.tobytes()
+
+
+def test_mackey_short_prefixes():
+    box = ConvexBody.unit_box(2)
+    for k in (0, 1, 2):
+        prefix = np.array([[0.5 ** i, 0.25] for i in range(k)]).reshape(k, 2)
+        report = mackey_cauchy_diagnostic(prefix, box)
+        mu, tail = _mackey_by_pairs(prefix, box)
+        assert report.mu.shape == (k, k) and report.mu.tobytes() == mu.tobytes()
+        assert report.tail_max.shape == (k,) and report.tail_max.tobytes() == tail.tobytes()
+        assert report.is_cauchy_prefix and report.rate is None
+    assert report.to_json_dict() == {"is_cauchy_prefix": True, "mu": [[0.0, 0.5], [0.5, 0.0]],
+                                     "tail_max": [0.5, 0.0], "rate": None}
+
+
+def _separation_cases(n):
+    rng = np.random.default_rng(50 + n)
+    u = rng.normal(size=n)
+    u /= np.linalg.norm(u)
+    body = random_body(rng, n)
+    radius = max(np.linalg.norm(v) for v in body.vertices())
+    return [(_ball_cloud(rng, 40, n, -1.6 * u, 1.0), _ball_cloud(rng, 50, n, 1.6 * u, 1.0)),
+            (_ball_cloud(rng, 400, n, -1.3 * u, 1.0), _ball_cloud(rng, 300, n, 1.3 * u, 1.0)),
+            # repeated rows: equally close pairs in every block of the start scan
+            (np.tile(_ball_cloud(rng, 3, n, -1.3 * u, 1.0), (40, 1)),
+             _ball_cloud(rng, 2000, n, 1.3 * u, 1.0)),
+            (_ball_cloud(rng, 30, n, (radius + 0.8) * u, 0.5), body.vertices()),
+            (rng.normal(size=(1, n)) + 4.0 * u, body.vertices())]
+
+
+def _assert_same_certificate(A, B):
+    cert = separate(A, B)
+    ell, alpha, beta, wa, wb = _separate_by_difference_matrix(A, B)
+    assert np.array_equal(cert.functional, ell)
+    assert cert.alpha == alpha and cert.beta == beta
+    assert np.array_equal(cert.witness_a, wa) and np.array_equal(cert.witness_b, wb)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_separate_matches_difference_matrix_wolfe(n):
+    for A, B in _separation_cases(n):
+        _assert_same_certificate(A, B)
+
+
+@pytest.mark.parametrize("seed", [[7, 99], [20, 99]])
+def test_separate_matches_difference_matrix_wolfe_on_stall_seeds(seed):
+    cloud, body = _stall_case(seed)
+    _assert_same_certificate(cloud, body.vertices())
+
+
+@pytest.mark.parametrize("factor", [2.0, -1.0])
+def test_separate_checks_its_certificate(monkeypatch, tmp_path, factor):
+    # a min-norm point scaled by 2 fails optimality, one reversed fails alpha < beta
+    a, b = [[0.0, 0.0], [0.4, 0.2]], [[2.0, 0.0], [2.5, 1.0], [3.0, -1.0]]
+    separate(a, b)
+    original = convex._min_norm_point
+    monkeypatch.setattr(convex, "_min_norm_point", lambda A, B: factor * original(A, B))
+    with pytest.raises(InvalidCertificate):
+        separate(a, b)
+    inp = tmp_path / "sep.json"
+    inp.write_text(json.dumps({"A": a, "B": {"points": b}}), encoding="utf-8")
+    assert run(RunConfig("separate", str(inp))) == 2
+
+
+def test_separate_memory_stays_small():
+    rng = np.random.default_rng([0, 1500])
+    u = rng.normal(size=3)
+    u /= np.linalg.norm(u)
+    a = _ball_cloud(rng, 1500, 3, -1.6 * u, 1.0)
+    b = _ball_cloud(rng, 1500, 3, 1.6 * u, 1.0)
+    tracemalloc.start()
+    try:
+        separate(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def test_membership_masks_and_isolation_match_point_loop():
+    rng = np.random.default_rng(60)
+    checked = 0
+    for _ in range(12):
+        n = int(rng.integers(2, 4))
+        body = symmetrize(random_body(rng, n))
+        cloud = rng.normal(size=(int(rng.integers(2, 200)), n))
+        x0 = rng.normal(size=n) * 2
+        if min(minkowski(body, p - x0) for p in cloud) < 0.2:
+            continue
+        a1 = cloud[int(rng.integers(0, cloud.shape[0]))]
+        res = cone_extremal_point(cloud, a1, x0, body)
+        probes = np.vstack([cloud, res.vertex + 0.05 * rng.normal(size=(50, n))])
+        for vertex in (res.vertex, a1):
+            cone, segment, hood = _masks_by_point(res, probes, vertex)
+            assert np.array_equal(res.in_cone(probes, vertex=vertex), cone)
+            assert np.array_equal(res.in_segment_cone(probes, vertex=vertex), segment)
+            assert np.array_equal(res.in_neighborhood(probes), hood)
+        # level_d from the gains of the first round, ell @ (p - a1) point by point
+        first = [float(res.functional @ (p - a1))
+                 for p, inside in zip(cloud, _masks_by_point(res, cloud, a1)[1]) if inside]
+        assert res.level_d == max(0.0, max(first))
+        assert res.isolates(cloud) is _isolates_by_point(res, cloud) is True
+        assert res.isolates(probes) is _isolates_by_point(res, probes)
+        assert type(res.in_cone(probes[0])) is bool
+        checked += 1
+    assert checked >= 6
