@@ -163,8 +163,9 @@ class ConvexBody:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ConvexBody":
-        body = ConvexBody(np.array(data["halfspaces"], dtype=float),
-                          np.array(data["vertices"], dtype=float) if "vertices" in data else None)
+        """Body of the ``halfspaces``; a ``vertices`` entry is ignored, the
+        vertices are always derived from the half-spaces."""
+        body = ConvexBody(np.array(data["halfspaces"], dtype=float))
         if body.dim != int(data["dim"]):
             raise ValueError("dim field does not match half-space width")
         return body

@@ -3,21 +3,21 @@
 Diffeomorphisms are kept as monotone lifts sampled on a uniform grid;
 lifts live on the real line, so monotonicity and sup distances are
 well defined and there are no branch cuts.  ``flow_states`` advances a
-batch of lift samples: a single-mode field c0 + a cos n theta + b sin n
-theta flows in closed form (its span with 1 is a copy of sl(2, R), so
-its flow is the n-fold lift of a Moebius map), and every other field
-through an adaptive Dormand-Prince integrator that steps the whole
-batch together.  Either way repeated applications of the same word are
-bitwise reproducible; ``apply_steps`` is the one loop that applies a
-word.  Between samples a lift is the trigonometric interpolant of its
-displacement, spectrally accurate for smooth diffeomorphisms, and its
-Newton inverse converges or raises ValueError.
+batch of lift samples to one time: a single-mode field c0 + a cos n
+theta + b sin n theta flows in closed form (its span with 1 is a copy
+of sl(2, R), so its flow is the n-fold lift of a Moebius map), and
+every other field through an adaptive Dormand-Prince integrator that
+steps the whole batch together.  Either way repeated applications of
+the same word are bitwise reproducible; ``apply_steps`` is the one loop
+that applies a word.  Between samples a lift is the trigonometric
+interpolant of its displacement, spectrally accurate for smooth
+diffeomorphisms, and its Newton inverse converges or raises ValueError.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -123,75 +123,59 @@ def _sl2_flow(field: TrigPoly):
 
 
 def flow_states(field: TrigPoly, duration: float, y0: np.ndarray, *,
-                checkpoints: Optional[Sequence[float]] = None,
-                rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL):
+                rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """Flow dy/ds = v(y) from 0 to duration for a batch of starts.
 
-    ``checkpoints`` must be strictly increasing in magnitude, share the
-    sign of ``duration`` and not exceed it; the state at each is
-    recorded on the way.  Returns (list of checkpoint states, final
-    state).  A single-mode field c0 + a cos n theta + b sin n theta
-    flows in closed form, each checkpoint evaluated from y0, so it
-    equals the direct flow to that time bit for bit and ``rtol`` and
-    ``atol`` are not used.  Every other field goes through adaptive
-    Dormand-Prince.  Raises IntegrationError when either runs past the
+    A single-mode field c0 + a cos n theta + b sin n theta flows in
+    closed form and ``rtol`` is not used; every other field goes
+    through adaptive Dormand-Prince with absolute tolerance
+    DEFAULT_ATOL.  Raises IntegrationError when either runs past the
     step budget, or on Dormand-Prince step-size underflow.
     """
     if not math.isfinite(duration):
         raise ValueError("duration must be finite")
     y = np.array(y0, dtype=float)
-    cps = list(checkpoints) if checkpoints else []
     if duration == 0.0:
-        return [y.copy() for _ in cps], y
-
-    direction = 1.0 if duration > 0 else -1.0
-    for cp in cps:
-        if cp * direction <= 0 or abs(cp) > abs(duration) + 1e-30:
-            raise ValueError("checkpoints must lie strictly between 0 and duration")
-
-    targets = cps + [duration]
+        return y
     exact = _sl2_flow(field)
     if exact is not None:
-        states = [exact(t, y) for t in targets]
-        return states[:-1], states[-1]
+        return exact(duration, y)
 
     f = _rhs(field)
-    states: list[np.ndarray] = []
+    direction = 1.0 if duration > 0 else -1.0
     t = 0.0
     h = direction * min(0.05, abs(duration) / 10.0)
     k1 = f(y)
     n_steps = 0
-    for target in targets:
-        while (target - t) * direction > 0.0:
-            n_steps += 1
-            if n_steps > _MAX_STEPS:
-                raise IntegrationError("step budget exhausted")
-            if abs(h) < 1e-14 * max(1.0, abs(t)):
-                raise IntegrationError("step size underflow")
-            clipped = False
-            if (t + h - target) * direction > 0.0:
-                h = target - t
-                clipped = True
-            ks = [k1]
-            for i in range(1, 7):
-                yi = y + h * sum(c * k for c, k in zip(_DP_A[i], ks))
-                ks.append(f(yi))
-            y_new = y + h * sum(c * k for c, k in zip(_DP_B5, ks) if c)
-            err_vec = h * sum(c * k for c, k in zip(_DP_ERR, ks) if c)
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err = float(np.max(np.abs(err_vec) / scale))
-            if err <= 1.0:
-                t = target if clipped else t + h
-                y = y_new
-                k1 = ks[6]  # FSAL
-            factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
-            h = h * min(5.0, max(0.2, factor))
-        states.append(y.copy())
-    return states[:-1], states[-1]
+    while (duration - t) * direction > 0.0:
+        n_steps += 1
+        if n_steps > _MAX_STEPS:
+            raise IntegrationError("step budget exhausted")
+        if abs(h) < 1e-14 * max(1.0, abs(t)):
+            raise IntegrationError("step size underflow")
+        clipped = False
+        if (t + h - duration) * direction > 0.0:
+            h = duration - t
+            clipped = True
+        ks = [k1]
+        for i in range(1, 7):
+            yi = y + h * sum(c * k for c, k in zip(_DP_A[i], ks))
+            ks.append(f(yi))
+        y_new = y + h * sum(c * k for c, k in zip(_DP_B5, ks) if c)
+        err_vec = h * sum(c * k for c, k in zip(_DP_ERR, ks) if c)
+        scale = DEFAULT_ATOL + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err = float(np.max(np.abs(err_vec) / scale))
+        if err <= 1.0:
+            t = duration if clipped else t + h
+            y = y_new
+            k1 = ks[6]  # FSAL
+        factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
+        h = h * min(5.0, max(0.2, factor))
+    return y
 
 
 def apply_steps(steps: Iterable[tuple[TrigPoly, float]], lift: np.ndarray, *,
-                rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> np.ndarray:
+                rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """Advance lift samples through each (field, duration) step in order.
 
     Flows of smooth fields preserve monotone lifts, so a violation after
@@ -199,18 +183,16 @@ def apply_steps(steps: Iterable[tuple[TrigPoly, float]], lift: np.ndarray, *,
     IntegrationError rather than silently accepted.
     """
     for field, t in steps:
-        _, lift = flow_states(field, t, lift, rtol=rtol, atol=atol)
+        lift = flow_states(field, t, lift, rtol=rtol)
         if not is_monotone_lift(lift):
             raise IntegrationError("flow step broke lift monotonicity")
     return lift
 
 
 def integrate_flow(field: TrigPoly, t: float, theta0: float, *,
-                   rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> float:
+                   rtol: float = DEFAULT_RTOL) -> float:
     """Lift value theta(t) of the flow of ``field`` started at theta0."""
-    _, final = flow_states(field, t, np.array([theta0], dtype=float),
-                           rtol=rtol, atol=atol)
-    return float(final[0])
+    return float(flow_states(field, t, np.array([theta0], dtype=float), rtol=rtol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +372,13 @@ class FlowWord:
 
 
 def apply_word(word: FlowWord, phi: CircleDiffeo, *,
-               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> CircleDiffeo:
+               rtol: float = DEFAULT_RTOL) -> CircleDiffeo:
     """Advance every lift sample of phi through each step of the word.
 
     Each step post-composes the flow of its field with the current
     diffeomorphism; see ``apply_steps``.
     """
-    return CircleDiffeo(apply_steps(word.steps, phi.lift, rtol=rtol, atol=atol))
+    return CircleDiffeo(apply_steps(word.steps, phi.lift, rtol=rtol))
 
 
 def commutator_word(x: TrigPoly, y: TrigPoly, s: float) -> FlowWord:
@@ -411,10 +393,10 @@ def commutator_word(x: TrigPoly, y: TrigPoly, s: float) -> FlowWord:
 
 
 def commutator_flow_residual(x: TrigPoly, y: TrigPoly, theta: float, t: float, *,
-                             rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> float:
+                             rtol: float = DEFAULT_RTOL) -> float:
     """(loop(theta) - theta) / t^2 for the commutator loop at scale t."""
     if t == 0:
         raise ValueError("t must be nonzero")
     state = apply_steps(commutator_word(x, y, t).steps, np.array([theta], dtype=float),
-                        rtol=rtol, atol=atol)
+                        rtol=rtol)
     return float((state[0] - theta) / (t * t))

@@ -26,6 +26,13 @@ from .flows import (TWO_PI, CircleDiffeo, FlowWord, IntegrationError, apply_step
 from .trig_fields import TrigPoly
 
 
+_MAX_SWEEPS = 3  # spectral sweeps of phase 1
+_MAX_CERTIFICATE_MODE = 12  # highest target mode checked against the closure
+_TAU_MAX = 2.0  # longest greedy step duration
+_S_CAP = 0.2  # largest commutator-loop scale
+_MAX_CHUNKS = 16  # most commutator loops per bracket-field flow
+
+
 class NotBracketGenerating(Exception):
     """The family closure fails to span a mode the target needs."""
 
@@ -94,10 +101,7 @@ def flow_logarithm(phi: CircleDiffeo) -> np.ndarray:
     order; a two-level Richardson step removes that first-order error.
     Exact for rotations, spectrally accurate for smooth targets.
     """
-    return _log_lift(np.array(phi.lift))
-
-
-def _log_lift(lift: np.ndarray) -> np.ndarray:
+    lift = np.array(phi.lift)
     m = lift.size
     thetas = grid_angles(m)
     disp = float(np.max(np.abs(lift - thetas)))
@@ -131,7 +135,6 @@ class _Certificate:
 
     def __init__(self, report: ClosureReport, primitive_depth: int):
         self.report = report
-        self.depth = primitive_depth
         self.indices = [i for i, g in enumerate(report.generated) if g.depth <= primitive_depth]
         self.columns = [report.generated[i].field.coefficient_vector(report.cap)
                         for i in self.indices]
@@ -149,15 +152,15 @@ class _Certificate:
         return self._cache[key]
 
 
-def _realize_flow(generated: Sequence[GeneratedField], idx: int, amount: float,
-                  s_cap: float = 0.2, max_chunks: int = 16) -> list[tuple[TrigPoly, float]]:
+def _realize_flow(generated: Sequence[GeneratedField], idx: int,
+                  amount: float) -> list[tuple[TrigPoly, float]]:
     """Steps approximating the time-`amount` flow of generated[idx].
 
     Seeds flow directly.  A bracket field [X, Y] flows through the
     four-step commutator loop at s = sqrt(amount); negative amounts swap
     the pair instead of using a negative s.  The loop is only accurate
-    to second order, so amounts are split into chunks keeping each s at
-    or below s_cap.
+    to second order, so amounts are split into at most _MAX_CHUNKS
+    chunks keeping each s at or below _S_CAP.
     """
     if abs(amount) < 1e-12:
         return []
@@ -169,13 +172,13 @@ def _realize_flow(generated: Sequence[GeneratedField], idx: int, amount: float,
         left, right = i, j
     else:
         left, right = j, i
-    chunks = min(max_chunks, max(1, math.ceil(abs(amount) / (s_cap * s_cap))))
+    chunks = min(_MAX_CHUNKS, max(1, math.ceil(abs(amount) / (_S_CAP * _S_CAP))))
     s = math.sqrt(abs(amount) / chunks)
     loop = (
-        _realize_flow(generated, right, -s, s_cap, max_chunks)
-        + _realize_flow(generated, left, -s, s_cap, max_chunks)
-        + _realize_flow(generated, right, s, s_cap, max_chunks)
-        + _realize_flow(generated, left, s, s_cap, max_chunks)
+        _realize_flow(generated, right, -s)
+        + _realize_flow(generated, left, -s)
+        + _realize_flow(generated, right, s)
+        + _realize_flow(generated, left, s)
     )
     return loop * chunks
 
@@ -190,9 +193,6 @@ class SteeringProblem:
     epsilon: float = 1e-2
     budget: int = 400
     primitive_depth: int = 3
-    max_sweeps: int = 3
-    max_certificate_mode: int = 12
-    tau_max: float = 2.0
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -248,7 +248,7 @@ def steer(problem: SteeringProblem) -> SteeringResult:
             if weights[n - 1:].sum() > problem.epsilon / 8.0:
                 n_needed = n
                 break
-        n_check = min(n_needed, problem.max_certificate_mode)
+        n_check = min(n_needed, _MAX_CERTIFICATE_MODE)
 
         seed_mode = max(f.effective_max_mode() for f in family.fields)
         cap = max(n_check, seed_mode)
@@ -261,7 +261,7 @@ def steer(problem: SteeringProblem) -> SteeringResult:
         coeff_floor = max(1e-10, problem.epsilon / (8.0 * (2 * n_check + 2)))
 
         # phase 1: spectral sweeps
-        for _ in range(problem.max_sweeps):
+        for _ in range(_MAX_SWEEPS):
             if cur_dist <= 0.5 * problem.epsilon:
                 break
             if steps:
@@ -270,7 +270,7 @@ def steer(problem: SteeringProblem) -> SteeringResult:
                     rel = CircleDiffeo(eval_lift(target_lift, invert_lift(current)))
                 except ValueError:  # no converged inverse, or a non-monotone remainder
                     break
-                u = _log_lift(rel.lift)
+                u = flow_logarithm(rel)
             else:
                 u = u0
             c0, a, b = fourier_profile(u)
@@ -307,40 +307,30 @@ def steer(problem: SteeringProblem) -> SteeringResult:
     # phase 2: greedy polish with single family steps
     durations = []
     d = problem.epsilon / 4.0
-    while d <= problem.tau_max:
+    while d <= _TAU_MAX:
         durations.append(d)
         d *= 2.0
     if not durations:
         durations = [problem.epsilon]
 
     while cur_dist > problem.epsilon and len(steps) < problem.budget:
-        best = None  # (dist, order, field, signed duration)
-        order = 0
+        best = None  # (dist, field, signed duration, state); ties keep the first
         for f in family.fields:
             for sign in (1.0, -1.0):
-                cps = [sign * t for t in durations[:-1]]
-                try:
-                    states, final = flow_states(f, sign * durations[-1], current,
-                                                checkpoints=cps)
-                except IntegrationError:
-                    continue
-                for t, st in zip(durations, states + [final]):
-                    order += 1
-                    if not is_monotone_lift(st):
+                for t in durations:
+                    try:
+                        state = flow_states(f, sign * t, current)
+                    except IntegrationError:
                         continue
-                    dist = _sup_shift_distance(st, target_lift)
+                    if not is_monotone_lift(state):
+                        continue
+                    dist = _sup_shift_distance(state, target_lift)
                     if dist < cur_dist and (best is None or dist < best[0]):
-                        best = (dist, order, f, sign * t)
+                        best = (dist, f, sign * t, state)
         if best is None:
             break
-        _, _, f, t = best
-        fresh = apply_steps([(f, t)], current)
-        fresh_dist = _sup_shift_distance(fresh, target_lift)
-        if fresh_dist >= cur_dist:
-            break
+        cur_dist, f, t, current = best
         steps.append((f, t))
-        current = fresh
-        cur_dist = fresh_dist
         trace.append(cur_dist)
         iterations += 1
 

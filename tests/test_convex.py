@@ -131,6 +131,17 @@ def test_separate_point_from_box():
     assert cert.beta == pytest.approx(-1.0, abs=1e-9)
 
 
+def test_body_vertices_come_from_the_halfspaces_not_the_input():
+    # vertices that describe another set must not change the certificate
+    box = ConvexBody.unit_box(2).to_json_dict()
+    forged = dict(box, vertices=[[5, 5], [5, 6], [6, 5], [6, 6]])
+    expect = separate([[2.0, 0.0]], ConvexBody.from_json_dict(box))
+    got = separate([[2.0, 0.0]], ConvexBody.from_json_dict(forged))
+    assert np.array_equal(got.functional, expect.functional)
+    assert (got.alpha, got.beta) == (expect.alpha, expect.beta)
+    assert got.alpha < got.beta <= 0.0  # 0 is in the box
+
+
 def test_separate_point_from_slab_cap():
     slab = ConvexBody(np.array([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0], [-1.0, 0.0]]))
     cert = separate([[0.0, 5.0]], slab)

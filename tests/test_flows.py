@@ -164,30 +164,6 @@ def test_csv_round_trip():
     assert np.array_equal(phi.lift, again.lift)
 
 
-def test_flow_states_checkpoints_consistent():
-    # sin theta flows in closed form, each checkpoint evaluated from y0
-    y0 = CircleDiffeo.identity(32).lift
-    states, final = flow_states(SIN1, 0.8, y0, checkpoints=[0.2, 0.4])
-    for t_cp, st in zip([0.2, 0.4], states):
-        _, direct = flow_states(SIN1, t_cp, y0)
-        assert np.array_equal(st, direct)
-    _, direct = flow_states(SIN1, 0.8, y0)
-    assert np.array_equal(final, direct)
-
-
-def test_flow_states_checkpoints_consistent_two_modes():
-    # two modes go through Dormand-Prince, which records checkpoints on the way
-    field = TrigPoly.from_coeffs(0, [0, "1/2"], [1])
-    y0 = CircleDiffeo.identity(32).lift
-    states, final = flow_states(field, 0.8, y0, checkpoints=[0.2, 0.4])
-    # each checkpointed state matches a direct integration to that time
-    for t_cp, st in zip([0.2, 0.4], states):
-        _, direct = flow_states(field, t_cp, y0)
-        assert np.max(np.abs(st - direct)) < 1e-10
-    _, direct = flow_states(field, 0.8, y0)
-    assert np.max(np.abs(final - direct)) < 1e-10
-
-
 # ---- closed-form sl(2) flows ----
 
 def test_sl2_flows_match_mpmath():
@@ -225,7 +201,7 @@ def test_sl2_elliptic_flow_is_periodic():
         c0, a, b = Fraction(c0), Fraction(a), Fraction(b)
         field = TrigPoly.constant(c0) + TrigPoly.cosine(n, a) + TrigPoly.sine(n, b)
         period = 2 * math.pi / n / math.sqrt(c0 * c0 - a * a - b * b)
-        _, out = flow_states(field, 3 * period, y0)
+        out = flow_states(field, 3 * period, y0)
         shift = math.copysign(3 * 2 * math.pi / n, c0)
         assert np.max(np.abs(out - (y0 + shift))) < 1e-12
 
@@ -239,8 +215,8 @@ def test_sl2_group_law():
         c0, a, b = (Fraction(int(p), 4) for p in rng.integers(-2, 3, size=3))
         field = TrigPoly.constant(c0) + TrigPoly.cosine(n, a) + TrigPoly.sine(n, b)
         s, t = rng.uniform(-2, 2, size=2)
-        _, direct = flow_states(field, s + t, y0)
-        _, chained = flow_states(field, t, flow_states(field, s, y0)[1])
+        direct = flow_states(field, s + t, y0)
+        chained = flow_states(field, t, flow_states(field, s, y0))
         worst = max(worst, float(np.max(np.abs(direct - chained))))
     assert worst < 1e-12
 

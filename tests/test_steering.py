@@ -124,7 +124,25 @@ def test_trace_matches_word_length_and_is_final():
     target = CircleDiffeo.rotation(0.25, 256)
     res = steer(SteeringProblem(target=target, epsilon=1e-2, budget=200))
     assert len(res.trace) == len(res.word)
-    assert res.trace[-1] == pytest.approx(res.achieved_error, abs=1e-12)
+    assert res.trace[-1] == res.achieved_error
+
+
+def test_greedy_on_a_dormand_prince_family():
+    """A family with a two-mode field: its steps flow through Dormand-Prince,
+    and the greedy phase's states are the replayed states bit for bit."""
+    fam = FieldFamily.of_trig([("cos1+sin2/2", TrigPoly.from_coeffs(0, [1, 0], [0, "1/2"])),
+                               ("sin1", SIN1),
+                               ("cos2", TrigPoly.cosine(2)),
+                               ("sin2", TrigPoly.sine(2))])
+    target = CircleDiffeo.rotation(0.3, 256)
+    res = steer(SteeringProblem(target=target, family=fam, epsilon=1e-2, budget=200))
+    assert res.converged
+    assert res.trace[-1] == res.achieved_error
+    replay = diffeo_distance(apply_word(res.word, CircleDiffeo.identity(256)), target)
+    assert replay == res.achieved_error
+    # the last step is a greedy one: a duration on the grid (epsilon / 4) 2^k
+    _, t_last = res.word.steps[-1]
+    assert abs(t_last) in {2.5e-3 * 2 ** k for k in range(10)}
 
 
 def test_orbit_invariance_under_composition():
