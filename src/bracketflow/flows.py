@@ -5,13 +5,16 @@ lifts live on the real line, so monotonicity and sup distances are
 well defined and there are no branch cuts.  ``flow_states`` advances a
 batch of lift samples to one time: a single-mode field c0 + a cos n
 theta + b sin n theta flows in closed form (its span with 1 is a copy
-of sl(2, R), so its flow is the n-fold lift of a Moebius map), and
-every other field through an adaptive Dormand-Prince integrator that
-steps the whole batch together.  Either way repeated applications of
-the same word are bitwise reproducible; ``apply_steps`` is the one loop
-that applies a word.  Between samples a lift is the trigonometric
-interpolant of its displacement, spectrally accurate for smooth
-diffeomorphisms, and its Newton inverse converges or raises ValueError.
+of sl(2, R), so its flow is the n-fold lift of a Moebius map; the
+closed form is built once per field instance), and every other field
+through an adaptive Dormand-Prince integrator that steps the whole
+batch together.  Either way repeated applications of the same word are
+bitwise reproducible; ``apply_steps`` is the one loop that applies a
+word.  Between samples a lift is the trigonometric interpolant of its
+displacement, spectrally accurate for smooth diffeomorphisms.  It is
+evaluated from a power table of exp(i x): for m queries and K modes,
+O(m K) multiplies and one complex exp per query.  Its Newton inverse
+converges or raises ValueError.
 """
 from __future__ import annotations
 
@@ -137,7 +140,11 @@ def flow_states(field: TrigPoly, duration: float, y0: np.ndarray, *,
     y = np.array(y0, dtype=float)
     if duration == 0.0:
         return y
-    exact = _sl2_flow(field)
+    try:
+        exact = field.__dict__["_sl2_flow"]
+    except KeyError:  # built once; TrigPoly hashes by value, so not in a dict
+        exact = _sl2_flow(field)
+        object.__setattr__(field, "_sl2_flow", exact)
     if exact is not None:
         return exact(duration, y)
 
@@ -213,17 +220,39 @@ def _displacement_spectrum(lift: np.ndarray) -> np.ndarray:
     return np.fft.rfft(lift - grid_angles(m))
 
 
+def _powers(w: np.ndarray, count: int) -> np.ndarray:
+    """Rows w^0, ..., w^(count - 1), by repeated multiplication."""
+    out = np.empty((count, w.size), dtype=complex)
+    out[0] = 1.0
+    for j in range(1, count):
+        np.multiply(out[j - 1], w, out=out[j])
+    return out
+
+
 def _eval_spectrum(spec: np.ndarray, m: int, queries: np.ndarray) -> np.ndarray:
-    """Displacement interpolant at arbitrary angles, plus the angles."""
-    ks = np.arange(1, spec.size)
-    factors = np.full(ks.size, 2.0 / m)
-    if m % 2 == 0 and spec.size - 1 == m // 2:
+    """Displacement interpolant at arbitrary angles, plus the angles.
+
+    The interpolant is Re sum_k c_k z^k with z = exp(i x), for the
+    scaled rfft coefficients c_k (1/m at k = 0 and at the even-m Nyquist
+    mode, 2/m elsewhere).  With B = ceil(sqrt(K + 1)) and L = ceil((K +
+    1) / B), the coefficients reshaped to an L x B matrix C give the sum
+    as sum_l (z^B)^l (C @ [z^0, ..., z^(B-1)])_l: one complex exp per
+    query and O(K) multiplies, with no argument k x to round.
+    """
+    n = spec.size
+    factors = np.full(n, 2.0 / m)
+    factors[0] = 1.0 / m
+    if m % 2 == 0 and n - 1 == m // 2:
         factors[-1] = 1.0 / m
-    ang = np.multiply.outer(ks.astype(float), queries)
-    out = (spec[0].real / m
-           + (factors * spec[1:].real) @ np.cos(ang)
-           - (factors * spec[1:].imag) @ np.sin(ang))
-    return queries + out
+    baby_size = math.isqrt(n - 1) + 1
+    giant_size = -(-n // baby_size)
+    coeffs = np.zeros(giant_size * baby_size, dtype=complex)
+    coeffs[:n] = factors * spec
+    z = np.exp(1j * queries)
+    baby = _powers(z, baby_size)
+    giant = _powers(baby[-1] * z, giant_size)
+    partial = coeffs.reshape(giant_size, baby_size) @ baby
+    return queries + (giant * partial).sum(axis=0).real
 
 
 def eval_lift(lift: np.ndarray, queries: np.ndarray) -> np.ndarray:

@@ -51,11 +51,13 @@ def default_family() -> FieldFamily:
 # metric
 
 def _sup_shift_distance(lift_a: np.ndarray, lift_b: np.ndarray) -> float:
+    # rounding is monotone, so max_i |fl(delta_i - c)| is attained at
+    # the largest or the smallest delta_i
     delta = lift_a - lift_b
-    mid = 0.5 * (float(delta.max()) + float(delta.min()))
-    k0 = round(mid / TWO_PI)
+    hi, lo = float(delta.max()), float(delta.min())
+    k0 = round(0.5 * (hi + lo) / TWO_PI)
     return min(
-        float(np.max(np.abs(delta - TWO_PI * k)))
+        max(abs(hi - TWO_PI * k), abs(lo - TWO_PI * k))
         for k in (k0 - 1, k0, k0 + 1)
     )
 

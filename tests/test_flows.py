@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bracketflow.flows import (CircleDiffeo, FlowWord, IntegrationError, apply_word,
-                               commutator_flow_residual, commutator_word,
-                               flow_states, integrate_flow)
+from bracketflow.flows import (CircleDiffeo, FlowWord, IntegrationError, _eval_spectrum,
+                               apply_word, commutator_flow_residual, commutator_word,
+                               eval_lift, flow_states, grid_angles, integrate_flow)
 from bracketflow.trig_fields import TrigPoly, bracket, evaluate
 
 SIN1, COS1 = TrigPoly.sine(1), TrigPoly.cosine(1)
@@ -162,6 +162,61 @@ def test_csv_round_trip():
     phi = CircleDiffeo.rotation(0.3, 16)
     again = CircleDiffeo.from_csv(phi.to_csv())
     assert np.array_equal(phi.lift, again.lift)
+
+
+# ---- the lift interpolant ----
+
+def trig_matrix_eval(spec, m, queries):
+    """The interpolant from the full cos/sin matrix of angles k x."""
+    ks = np.arange(1, spec.size)
+    factors = np.full(ks.size, 2.0 / m)
+    if m % 2 == 0 and spec.size - 1 == m // 2:
+        factors[-1] = 1.0 / m
+    ang = np.multiply.outer(ks.astype(float), queries)
+    out = (spec[0].real / m
+           + (factors * spec[1:].real) @ np.cos(ang)
+           - (factors * spec[1:].imag) @ np.sin(ang))
+    return queries + out
+
+
+def scaled_coefficients(spec, m):
+    coeffs = spec * (2.0 / m)
+    coeffs[0] = spec[0].real / m
+    if m % 2 == 0:
+        coeffs[-1] = spec[-1] / m
+    return coeffs
+
+
+@pytest.mark.parametrize("m", [2, 3, 8, 9, 256, 257])
+def test_power_table_matches_trig_matrix_and_mpmath(m):
+    # flat seeded spectra, so every mode and the even-m Nyquist factor count
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng([m, 8])
+    spec = np.fft.rfft(rng.normal(size=m))
+    coeffs = scaled_coefficients(spec, m)
+    bound = 1e-14 * (1.0 + float(np.sum(np.abs(coeffs))))
+    near = rng.uniform(0.0, 2 * math.pi, 24)
+    far = rng.uniform(-100.0, 100.0, 24)
+    for queries in (near, far):
+        got = _eval_spectrum(spec, m, queries)
+        with mpmath.workdps(30):
+            exact = [x + sum(mpmath.re(mpmath.mpc(c.real, c.imag) * mpmath.expj(k * x))
+                             for k, c in enumerate(coeffs))
+                     for x in map(mpmath.mpf, queries)]
+        assert max(abs(g - e) for g, e in zip(got, exact)) < bound
+        # the reference rounds each angle k x before its cos and sin, an
+        # error of up to |k x| 2^-53 per mode that the power table avoids
+        rounding = np.abs(coeffs) @ np.multiply.outer(np.arange(spec.size), np.abs(queries))
+        reference = trig_matrix_eval(spec, m, queries)
+        assert np.all(np.abs(got - reference) < bound + rounding * 2.0 ** -53)
+
+
+def test_power_table_reproduces_a_trigonometric_lift():
+    lift = lambda x: x + 0.3 * np.sin(5 * x) + 0.1
+    queries = np.random.default_rng(8).uniform(-20.0, 20.0, 200)
+    for m in (11, 12, 256):
+        got = eval_lift(lift(grid_angles(m)), queries)
+        assert np.max(np.abs(got - lift(queries))) < 1e-14
 
 
 # ---- closed-form sl(2) flows ----

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from bracketflow.closure import FieldFamily
-from bracketflow.flows import CircleDiffeo, FlowWord, apply_word, integrate_flow
-from bracketflow.steering import (NotBracketGenerating, SteeringProblem,
-                                  diffeo_distance, flow_logarithm, steer)
+from bracketflow.flows import (TWO_PI, CircleDiffeo, FlowWord, apply_word, eval_lift,
+                               integrate_flow, invert_lift, is_monotone_lift)
+from bracketflow.steering import (NotBracketGenerating, SteeringProblem, _sqrt_lift,
+                                  _sup_shift_distance, diffeo_distance, flow_logarithm,
+                                  steer)
 from bracketflow.trig_fields import TrigPoly
 
 SIN1 = TrigPoly.sine(1)
@@ -40,6 +42,25 @@ def test_distance_to_sine_flow_matches_pointwise_flow():
     assert diffeo_distance(IDENT, phi) == pytest.approx(expected, abs=1e-9)
 
 
+def three_pass_distance(lift_a, lift_b):
+    delta = lift_a - lift_b
+    mid = 0.5 * (float(delta.max()) + float(delta.min()))
+    k0 = round(mid / TWO_PI)
+    return min(float(np.max(np.abs(delta - TWO_PI * k))) for k in (k0 - 1, k0, k0 + 1))
+
+
+def test_distance_from_extremes_matches_three_array_passes():
+    # bitwise, on seeded lifts near each other, a few periods apart, and
+    # about half a period apart, where two shifts nearly tie
+    rng = np.random.default_rng(8)
+    for _ in range(5000):
+        m = int(rng.integers(2, 300))
+        lift_a = np.sort(rng.uniform(-10.0, 10.0, m))
+        shift = TWO_PI * int(rng.integers(-3, 4)) + rng.choice([0.0, 0.5 * TWO_PI, 1.0])
+        lift_b = lift_a + shift + rng.normal(scale=10.0 ** rng.uniform(-16, 0), size=m)
+        assert _sup_shift_distance(lift_a, lift_b) == three_pass_distance(lift_a, lift_b)
+
+
 def test_distance_grid_mismatch():
     with pytest.raises(ValueError):
         diffeo_distance(CircleDiffeo.identity(64), CircleDiffeo.identity(128))
@@ -64,6 +85,28 @@ def test_internal_inverse_is_accurate():
     phi = apply_word(FlowWord.of([(SIN1, 0.6)]), IDENT)
     roundtrip = phi(phi.inverse().lift)
     assert np.max(np.abs(roundtrip - IDENT.thetas)) < 1e-11
+
+
+def non_rotation_targets():
+    # on larger two-step words, such as sin1 for 0.3 then cos2 for 0.2, the
+    # square root stops at its first residual that does not decrease, at
+    # 1e-12 to 1e-6
+    half_cos3 = TrigPoly.from_coeffs(0, [0, 0, "1/2"], [0, 0, 0])
+    return [apply_word(FlowWord.of([(half_cos3, 0.2)]), IDENT),
+            apply_word(FlowWord.of([(SIN1, 0.1), (TrigPoly.cosine(2), 0.05)]), IDENT)]
+
+
+def test_square_root_composes_back_on_non_rotation_targets():
+    for phi in non_rotation_targets():
+        psi = _sqrt_lift(phi.lift, IDENT.thetas)
+        assert is_monotone_lift(psi)
+        assert np.max(np.abs(eval_lift(psi, psi) - phi.lift)) < 1e-13
+
+
+def test_inverse_meets_its_residual_on_non_rotation_targets():
+    for phi in non_rotation_targets():
+        inverse = invert_lift(phi.lift)
+        assert np.max(np.abs(eval_lift(phi.lift, inverse) - IDENT.thetas)) < 1e-13
 
 
 # ---- steer: pinned behaviors ----
