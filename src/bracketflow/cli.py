@@ -1,14 +1,19 @@
 """Batch command-line runner: one subcommand per operation.
 
-Reads JSON (and CSV for sampled diffeomorphisms), writes JSON/CSV
-artifacts, prints a one-line summary.  Exit status: 0 on success, 2 on
-domain errors (non-generating family, intersecting sets, invalid
-seeds, contract violations), 1 on I/O or parse errors.  Runs are
-deterministic: the same config and inputs give byte-identical output.
+Reads JSON (and CSV for sampled diffeomorphisms and point sets), writes
+JSON/CSV artifacts, prints a one-line summary.  Exit status: 0 on
+success, 2 on domain errors (non-generating family, intersecting sets,
+invalid seeds, contract violations, malformed point CSV), 1 on I/O or
+parse errors.  Runs are deterministic: the same config and inputs give
+byte-identical output.  JSON artifacts are the bytes of
+``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, with every
+scalar written by the C encoder.  The argument parser is built once per
+process.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -54,16 +59,77 @@ def _write_text(path: Optional[str], text: str):
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    With an indent, ``json`` runs its pure-Python encoder.  Here only the
+    nesting is written in Python: a list of scalars is one C-encoder call,
+    and a float matrix one call for its distinct values.
+    """
+    return _encode(obj, "") + "\n"
+
+
+def _encode(obj, pad: str) -> str:
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(isinstance(key, str) for key in obj):  # json's own key coercion
+            return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+        return _block([f"{json.dumps(key)}: {_encode(obj[key], inner)}" for key in sorted(obj)],
+                      pad, "{}")
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if any(isinstance(v, (list, tuple, dict)) for v in obj):
+            return _block(_float_rows(obj, inner) or [_encode(v, inner) for v in obj], pad)
+        return _block([json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]], pad)
+    return json.dumps(obj)
+
+
+def _block(items, pad: str, brackets: str = "[]") -> str:
+    """Encoded items one per line, one level deeper than ``pad``, in brackets."""
+    inner = pad + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+
+
+def _float_rows(rows, pad: str):
+    """Encoded rows of a rectangular list of Python-float rows, each distinct
+    float (by bit pattern, so -0.0 and 0.0 differ) formatted once; None for
+    any other list."""
+    width = len(rows[0]) if isinstance(rows[0], (list, tuple)) else 0
+    if not width or not all(isinstance(row, (list, tuple)) and len(row) == width
+                            and set(map(type, row)) == {float} for row in rows):
+        return None
+    bits = np.array(rows, dtype=np.float64).view(np.int64).ravel()
+    distinct, index = np.unique(bits, return_inverse=True)
+    text = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
+    cells = np.array(text, dtype=object)[index].reshape(len(rows), width)
+    return [_block(row, pad) for row in cells.tolist()]
 
 
 def _load_points(spec) -> np.ndarray:
-    """Point set: inline list of rows, or {"csv": path} with one row per line."""
+    """Point set: inline list of rows, or {"csv": path} with one row per line.
+
+    The first line of a CSV is a header when one of its cells is not a
+    number; every other line must be numbers.  A non-numeric line or a
+    non-finite coordinate raises ``ValueError``.
+    """
     if isinstance(spec, dict) and "csv" in spec:
-        rows = [ln for ln in Path(spec["csv"]).read_text(encoding="utf-8").strip().splitlines()
-                if ln and not ln[0].isalpha()]
-        return np.array([[float(v) for v in row.split(",")] for row in rows])
-    return np.array(spec, dtype=float)
+        source = spec["csv"]
+        lines = [ln for ln in Path(source).read_text(encoding="utf-8").splitlines() if ln.strip()]
+        rows = []
+        for number, line in enumerate(lines):
+            try:
+                rows.append([float(cell) for cell in line.split(",")])
+            except ValueError:
+                if number:
+                    raise ValueError(f"{source}: not a row of numbers: {line!r}") from None
+        points = np.array(rows)
+    else:
+        source, points = "inline point set", np.array(spec, dtype=float)
+    if not np.isfinite(points).all():
+        raise ValueError(f"{source}: non-finite coordinate")
+    return points
 
 
 def _load_diffeo(spec, grid: int) -> CircleDiffeo:
@@ -222,7 +288,8 @@ def run(cfg: RunConfig) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bracketflow",
         description="Bracket closure, circle flows, steering, and convex gauges.")
@@ -240,7 +307,11 @@ def main(argv=None) -> int:
         p.add_argument("--tol", type=float, default=None,
                        help="Dormand-Prince relative tolerance; single-mode "
                             "(sl(2)-form) fields flow in closed form and ignore it")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     cfg = RunConfig(
         command=args.command,
         input_path=args.input,

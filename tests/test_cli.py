@@ -1,12 +1,14 @@
 """Command-line artifacts: correctness, round trips, exit codes, determinism."""
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bracketflow.cli import RunConfig, run
+from bracketflow.cli import COMMANDS, RunConfig, _dump_json, _load_points, _parser, main, run
 from bracketflow.flows import CircleDiffeo
 from bracketflow.trig_fields import TrigPoly
 
@@ -186,3 +188,114 @@ def test_tol_override_reaches_integrator(tmp_path):
     r2 = json.loads(out2.read_text())["residual"]
     assert r1 != r2  # different step control, visibly different rounding
     assert abs(r1 - r2) < 1e-4
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("x,y\n0.0,0.0\ninf,1.0\n", "non-finite"),
+    ("x,y\n0.0,0.0\nnan,1\n", "non-finite"),
+    ("inf,1.0\n0.0,0.0\n", "non-finite"),  # a numeric first line is data, not a header
+    ("x,y\n0.0,0.0\nx,y\n", "not a row of numbers"),  # only the first line may be a header
+    ("0.0,0.0\nz,1\n", "not a row of numbers"),
+])
+def test_point_csv_rejects_bad_rows(tmp_path, capsys, text, problem):
+    csv = tmp_path / "points.csv"
+    csv.write_text(text)
+    with pytest.raises(ValueError, match=problem):
+        _load_points({"csv": str(csv)})
+    box = {"dim": 2, "halfspaces": [[1, 0], [-1, 0], [0, 1], [0, -1]]}
+    inp = write(tmp_path, "cone.json",
+                {"B": {"csv": str(csv)}, "a1": [0.0, 0.0], "x0": [0.0, 1.0], "D": box})
+    assert run(RunConfig("cone", inp, str(tmp_path / "cone.out"))) == 2
+    assert problem in capsys.readouterr().err
+
+
+def test_inline_point_sets_reject_non_finite_coordinates(tmp_path, capsys):
+    box = {"dim": 2, "halfspaces": [[1, 0], [-1, 0], [0, 1], [0, -1]]}
+    inp = write(tmp_path, "mackey.json",
+                {"prefix": [[1.0, 0.0], [math.nan, 0.0], [0.25, 0.0]], "M": box})
+    assert run(RunConfig("mackey", inp, str(tmp_path / "mackey.out"))) == 2
+    assert "non-finite coordinate" in capsys.readouterr().err
+
+
+def test_point_csv_header_is_optional(tmp_path):
+    csv = tmp_path / "points.csv"
+    csv.write_text("0.0,0.0\n1.0,0.5\n\n-2,3e-1\n")
+    assert _load_points({"csv": str(csv)}).tolist() == [[0.0, 0.0], [1.0, 0.5], [-2.0, 0.3]]
+    csv.write_text("x0,x1,x2\n1,2,3\n")
+    assert _load_points({"csv": str(csv)}).tolist() == [[1.0, 2.0, 3.0]]
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer against json's own indented encoder
+
+def reference_dump(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+json_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e16, 1e-5, 5e-324]))
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), json_floats, st.text())
+rectangular_rows = st.integers(1, 4).flatmap(
+    lambda width: st.lists(st.lists(json_floats, min_size=width, max_size=width),
+                           min_size=1, max_size=4))
+mixed_rows = st.lists(st.lists(st.one_of(json_floats, st.integers()), max_size=4), max_size=4)
+json_values = st.recursive(
+    st.one_of(json_scalars, rectangular_rows, mixed_rows),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=3)),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values)
+def test_writer_matches_indented_json(obj):
+    assert _dump_json(obj) == reference_dump(obj)
+
+
+def test_writer_matches_indented_json_on_a_gauge_matrix():
+    rng = np.random.default_rng(9)
+    mu = rng.standard_normal((400, 400))
+    mu = mu + mu.T
+    np.fill_diagonal(mu, 0.0)
+    mu[rng.random(mu.shape) < 0.01] = -0.0
+    report = {"is_cauchy_prefix": False, "mu": mu.tolist(),
+              "tail_max": np.abs(mu).max(axis=1).tolist(), "rate": None}
+    assert _dump_json(report).encode() == reference_dump(report).encode()
+
+
+# ---------------------------------------------------------------------------
+# one argument parser per process
+
+def test_reused_parser_writes_what_a_fresh_process_writes(tmp_path, capsys):
+    family = write(tmp_path, "family.json", family_json())
+    target = write(tmp_path, "steer.json",
+                   {"target": {"kind": "rotation", "angle": 0.25}, "grid": 128,
+                    "budget": 150})
+    calls = [["closure", "--input", family, "--cap", "4"],
+             ["closure", "--input", family],
+             ["steer", "--input", target, "--epsilon", "0.05"]]
+    for i, argv in enumerate(calls):
+        fresh = tmp_path / f"fresh{i}.json"
+        proc = subprocess.run([sys.executable, "-m", "bracketflow.cli", *argv,
+                               "--output", str(fresh)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    assert _parser() is _parser()
+    for i, argv in enumerate(calls):
+        with pytest.raises(SystemExit) as usage:
+            main(["closure", "--input", family, "--cap", "four"])
+        assert usage.value.code == 2
+        reused = tmp_path / f"reused{i}.json"
+        assert main([*argv, "--output", str(reused)]) == 0
+        assert reused.read_bytes() == (tmp_path / f"fresh{i}.json").read_bytes()
+
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as shown:
+        main(["--help"])
+    assert shown.value.code == 0
+    listing = capsys.readouterr().out
+    assert all(name in listing for name in COMMANDS)
