@@ -6,6 +6,9 @@ body is exactly max(0, max_i <h_i, x>), which makes every functional
 here finitely checkable.
 
 Each body is checked bounded by one feasibility LP (Gordan-Stiemke).
+scipy is imported by the first LP or hull, not with the module: its
+optimizer and qhull stacks are the larger part of the package's import
+time, and the algebra and steering commands never use them.
 Separation runs Wolfe's min-norm-point algorithm on support points of
 the two sets, so the Minkowski difference is never built, and checks its
 certificate before returning it.  Gauges of many differences and cone
@@ -18,8 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 DEGENERACY_TOL = 1e-12
 
@@ -36,8 +37,20 @@ class InvalidCertificate(Exception):
     """A separation certificate failed its own check (alpha < beta, optimality)."""
 
 
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be finite")
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # bodies
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``; scipy.optimize is imported on the first call."""
+    from scipy.optimize import linprog as scipy_linprog
+    return scipy_linprog(*args, **kwargs)
+
 
 def _bounded_by_lp(normals: np.ndarray) -> bool:
     """{x : Nx <= 1} is bounded iff the normals positively span R^n.
@@ -101,6 +114,7 @@ class ConvexBody:
                 raise ValueError("origin must be interior")
             return ConvexBody(np.array([[1.0 / hi], [1.0 / lo]]),
                               np.array([[lo], [hi]]))
+        from scipy.spatial import ConvexHull
         hull = ConvexHull(pts)
         a = hull.equations[:, :-1]
         b = -hull.equations[:, -1]  # a x <= b
@@ -128,6 +142,7 @@ class ConvexBody:
                 hminus = self.normals[self.normals[:, 0] < 0, 0]
                 verts = np.array([[1.0 / hminus.min()], [1.0 / hplus.max()]])
             else:
+                from scipy.spatial import HalfspaceIntersection
                 hs = np.hstack([self.normals, -np.ones((self.normals.shape[0], 1))])
                 inter = HalfspaceIntersection(hs, np.zeros(n))
                 verts = np.unique(np.round(inter.intersections, 9), axis=0)
@@ -173,7 +188,7 @@ class ConvexBody:
 
 def minkowski(body: ConvexBody, x) -> float:
     """Gauge inf{t > 0 : x in t*body} = max(0, max_i <h_i, x>)."""
-    x = np.asarray(x, dtype=float)
+    x = _finite(np.asarray(x, dtype=float), "x")
     if x.shape != (body.dim,):
         raise ValueError("dimension mismatch")
     return float(max(0.0, float(np.max(body.normals @ x))))
@@ -289,8 +304,9 @@ def separate(a_points, b: Union[ConvexBody, np.ndarray, Sequence]) -> Separation
     optimality, beta - alpha >= |ell|^2 (1 - 1e-6); otherwise
     InvalidCertificate is raised.
     """
-    A = np.atleast_2d(np.asarray(a_points, dtype=float))
-    B = b.vertices() if isinstance(b, ConvexBody) else np.atleast_2d(np.asarray(b, dtype=float))
+    A = _finite(np.atleast_2d(np.asarray(a_points, dtype=float)), "a_points")
+    B = b.vertices() if isinstance(b, ConvexBody) else \
+        _finite(np.atleast_2d(np.asarray(b, dtype=float)), "b")
     if A.shape[1] != B.shape[1]:
         raise ValueError("dimension mismatch")
     v = _min_norm_point(A, B)
@@ -429,9 +445,9 @@ def cone_extremal_point(b_points, a1, x0, body: ConvexBody,
     smallest), and repeat until the gain vanishes.  Each move at least
     halves the gauge diameter of the truncated cone.
     """
-    B = np.atleast_2d(np.asarray(b_points, dtype=float))
-    a1 = np.asarray(a1, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
+    B = _finite(np.atleast_2d(np.asarray(b_points, dtype=float)), "b_points")
+    a1 = _finite(np.asarray(a1, dtype=float), "a1")
+    x0 = _finite(np.asarray(x0, dtype=float), "x0")
     if not body.is_symmetric():
         raise ValueError("gauge body must be symmetric (run symmetrize first)")
     if B.shape[1] != body.dim or a1.shape != (body.dim,) or x0.shape != (body.dim,):
@@ -523,7 +539,7 @@ def mackey_cauchy_diagnostic(prefix, m_body: ConvexBody) -> MackeyReport:
     the difference).  The prefix passes when the tail maxima strictly
     decrease until they reach zero.
     """
-    pts = np.atleast_2d(np.asarray(prefix, dtype=float))
+    pts = _finite(np.atleast_2d(np.asarray(prefix, dtype=float)), "prefix")
     if not m_body.is_symmetric():
         raise ValueError("M must be symmetric (absolutely convex)")
     if pts.shape[1] != m_body.dim:

@@ -164,6 +164,49 @@ def test_console_entry_point():
         assert name in proc.stdout
 
 
+COLD_START = """
+import json, sys
+import bracketflow
+from bracketflow import cli, convex
+
+def lp_stacks():
+    return sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.spatial")))
+
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+assert not lp_stacks(), lp_stacks()[:3]
+
+lps = []
+wrapped = convex.linprog
+def counted(*args, **kwargs):
+    lps.append(1)
+    return wrapped(*args, **kwargs)
+convex.linprog = counted
+assert cli.main(json.loads(sys.argv[2])) == 0
+assert lps == [1] and convex.linprog is counted, lps
+assert {"scipy.optimize", "scipy.spatial"} <= set(lp_stacks()), lp_stacks()
+"""
+
+
+def test_scipy_loads_only_with_the_first_convex_operation(tmp_path):
+    # bracket, closure and steer never import scipy's optimizer or qhull
+    # stacks; the first boundedness LP does, through convex.linprog, which a
+    # wrapper set before it (as the benchmark tracer sets one) still sees
+    pair = write(tmp_path, "pair.json", {"v": TrigPoly.sine(1).to_json_dict(),
+                                        "w": TrigPoly.cosine(1).to_json_dict()})
+    family = write(tmp_path, "family.json", family_json())
+    target = write(tmp_path, "steer.json", {"target": {"kind": "rotation", "angle": 0.25},
+                                            "grid": 128, "budget": 150})
+    box = {"dim": 2, "halfspaces": [[1, 0], [-1, 0], [0, 1], [0, -1]]}
+    gauge = write(tmp_path, "mink.json", {"body": box, "x": [2.0, 0.0]})
+    algebra = [["bracket", "--input", pair], ["closure", "--input", family, "--cap", "3"],
+               ["steer", "--input", target, "--epsilon", "0.05"]]
+    proc = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(algebra),
+                           json.dumps(["minkowski", "--input", gauge])],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_point_sets_load_from_csv(tmp_path):
     csv = tmp_path / "points.csv"
     csv.write_text("x,y\n0.0,0.0\n0.0,0.5\n")

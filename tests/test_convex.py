@@ -332,6 +332,37 @@ def test_asymmetric_m_rejected():
         mackey_cauchy_diagnostic([[0.0, 0.0], [0.1, 0.0]], skew)
 
 
+# ---- non-finite input ----
+
+NON_FINITE_CALLS = {
+    "minkowski x": lambda box, bad: minkowski(box, [bad, 0.0]),
+    "separate a_points": lambda box, bad: separate([[2.0, 0.0], [bad, 0.0]], box),
+    "separate b points": lambda box, bad: separate([[2.0, 0.0]], [[0.0, 0.0], [0.0, bad]]),
+    "cone b_points": lambda box, bad: cone_extremal_point(
+        [[0.0, 0.0], [bad, 0.5]], [0.0, 0.0], [0.0, 1.0], box),
+    "cone a1": lambda box, bad: cone_extremal_point([[0.0, 0.0]], [bad, 0.0], [0.0, 1.0], box),
+    "cone x0": lambda box, bad: cone_extremal_point([[0.0, 0.0]], [0.0, 0.0], [0.0, bad], box),
+    "mackey prefix": lambda box, bad: mackey_cauchy_diagnostic(
+        [[1.0, 0.0], [bad, 0.0], [0.25, 0.0]], box),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", sorted(NON_FINITE_CALLS))
+def test_non_finite_input_rejected_before_any_work(monkeypatch, call, bad):
+    box = ConvexBody.unit_box(2)
+
+    def work(*args, **kwargs):
+        raise AssertionError("work began before the finiteness check")
+
+    # an infinite point used to keep the Wolfe loop running indefinitely
+    for name in ("_min_norm_point", "_gauge_many"):
+        monkeypatch.setattr(convex, name, work)
+    monkeypatch.setattr(ConvexBody, "is_symmetric", work)
+    with pytest.raises(ValueError, match="must be finite"):
+        NON_FINITE_CALLS[call](box, bad)
+
+
 # ---- reference implementations: the loops the array code replaced ----
 
 def _bounded_by_coordinate_lps(normals):
