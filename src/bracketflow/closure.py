@@ -6,7 +6,9 @@ and polynomial fields on R^n (rank of the evaluated fields at a point).
 All independence decisions, and the combinations steering certificates
 solve for, go through one fraction-free integer eliminator (IntegerSpan);
 coefficients of iterated brackets grow, and floating rank would lie about
-them.
+them.  The trig closure brackets Gaussian-integer mode tables, computed
+once per generated field: a bracket over the mode cap is found from the
+top mode down, and only brackets the span keeps become Fraction fields.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .trig_fields import TrigPoly, bracket, _frac
+from .trig_fields import TrigPoly, _frac, _gaussian_modes, _mode_law, bracket
 
 _ZERO = Fraction(0)
 
@@ -372,6 +374,14 @@ def closure(family: FieldFamily, max_depth: int, max_mode_cap: int) -> ClosureRe
     new, in discovery order; results whose content exceeds the cap are
     discarded (truncating them would fabricate fields the algebra does
     not contain).  Stops at a fixed point or after max_depth rounds.
+
+    Each pair goes through the integer mode-law kernel of trig_fields on
+    the two fields' cached Gaussian mode tables.  The kernel scans output
+    modes from the top down and rejects a bracket at its first nonzero
+    mode above the cap; the span decides on an integer row, a positive
+    multiple of the bracket's coefficient_vector.  A discarded bracket
+    never becomes a Fraction field: only those the span keeps are formed
+    by ``bracket``, trailing zeros included.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
@@ -383,9 +393,11 @@ def closure(family: FieldFamily, max_depth: int, max_mode_cap: int) -> ClosureRe
 
     span = IntegerSpan()
     generated: list[GeneratedField] = []
+    modes: list[dict] = []  # the _gaussian_modes table of each generated field
     for label, f in zip(family.labels, family.fields):
         if not f.is_zero() and span.add(dict(enumerate(f.coefficient_vector(max_mode_cap)))):
             generated.append(GeneratedField(label, f, None, 1))
+            modes.append(_gaussian_modes(f)[1])
 
     depth_used = 1
     fixed_point = False
@@ -394,13 +406,21 @@ def closure(family: FieldFamily, max_depth: int, max_mode_cap: int) -> ClosureRe
         count_before = len(generated)
         for j in range(pair_cursor, count_before):
             for i in range(j):
-                gi, gj = generated[i], generated[j]
-                w = bracket(gi.field, gj.field)
-                if w.is_zero() or w.effective_max_mode() > max_mode_cap:
-                    continue
-                if span.add(dict(enumerate(w.coefficient_vector(max_mode_cap)))):
+                s = _mode_law(modes[i], modes[j], max_mode_cap)
+                if s is None:
+                    continue  # over the cap
+                # 4 dv dw times the bracket's coefficient_vector (see bracket);
+                # a zero bracket gives a zero row, which the span does not add
+                re, im = s
+                row = {0: -im[0]}
+                for m in range(1, len(re)):
+                    row[m], row[max_mode_cap + m] = -2 * im[m], -2 * re[m]
+                if span.add(row):
+                    gi, gj = generated[i], generated[j]
+                    w = bracket(gi.field, gj.field)
                     generated.append(GeneratedField(
                         f"[{gi.label},{gj.label}]", w, (i, j), gi.depth + gj.depth))
+                    modes.append(_gaussian_modes(w)[1])
         pair_cursor = count_before
         if len(generated) == count_before:
             fixed_point = True

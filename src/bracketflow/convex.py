@@ -106,7 +106,7 @@ class ConvexBody:
     @staticmethod
     def from_vertices(points) -> "ConvexBody":
         """Hull of the points; 0 must be interior so offsets normalize to 1."""
-        pts = np.atleast_2d(np.array(points, dtype=float))
+        pts = _finite(np.atleast_2d(np.array(points, dtype=float)), "points")
         n = pts.shape[1]
         if n == 1:
             lo, hi = float(pts.min()), float(pts.max())

@@ -4,7 +4,10 @@ A field is v(theta) d/dtheta with v a truncated Fourier series held with
 rational coefficients.  The bracket applies the complex mode law
 [e_k, e_l] = i(k - l) e_{k+l} to Gaussian-integer mode coefficients over a
 common denominator, so bracket identities can be checked coefficient by
-coefficient; nothing in this module rounds.
+coefficient; nothing in this module rounds.  The integer kernel forms the
+output modes from the top mode down and, given a mode cap, stops at the
+first nonzero mode above it, so a bracket over the cap is found without
+forming the rest of it or any Fraction.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -212,6 +215,36 @@ def _gaussian_modes(v: TrigPoly) -> tuple[int, dict[int, tuple[int, int]]]:
     return d, modes
 
 
+def _mode_law(p: dict, q: dict, cap: Optional[int] = None):
+    """(re, im) with re[m] + i im[m] = S_m = sum_{k+l=m} (k - l) P_k Q_l.
+
+    p and q are ``_gaussian_modes`` tables.  The sums run from the top
+    output mode max(p) + max(q) down to 0, and the lists stop at that top
+    mode.  With a cap, the first nonzero S_m with m > cap returns None, so
+    a bracket over the cap usually costs one or two output modes.
+    """
+    if not p or not q:
+        return [0], [0]
+    top = max(p) + max(q)
+    re = [0] * (top + 1)
+    im = [0] * (top + 1)
+    pairs = list(p.items())
+    for m in range(top, -1, -1):
+        sr = si = 0
+        for k, (pr, pi) in pairs:
+            c = 2 * k - m  # k - l for l = m - k
+            if c:
+                ql = q.get(m - k)
+                if ql is not None:
+                    qr, qi = ql
+                    sr += c * (pr * qr - pi * qi)
+                    si += c * (pr * qi + pi * qr)
+        if cap is not None and m > cap and (sr or si):
+            return None
+        re[m], im[m] = sr, si
+    return re, im
+
+
 def bracket(v: TrigPoly, w: TrigPoly) -> TrigPoly:
     """Circle bracket [v, w] = (v' w - w' v) d/dtheta.
 
@@ -220,28 +253,21 @@ def bracket(v: TrigPoly, w: TrigPoly) -> TrigPoly:
     closure and steering code in this package uses it consistently.
 
     Computed by the mode law [e_k, e_l] = i(k - l) e_{k+l} on Gaussian
-    integers over the product of the two common denominators, so the only
-    rational arithmetic is one Fraction per output coefficient.  The
-    result has max_mode v.max_mode + w.max_mode, trailing zeros included.
+    integers over the product of the two common denominators
+    (``_mode_law``), so the only rational arithmetic is one Fraction per
+    output coefficient.  The result has max_mode v.max_mode + w.max_mode,
+    trailing zeros included.
     """
     dv, p = _gaussian_modes(v)
     dw, q = _gaussian_modes(w)
-    n_out = v.max_mode + w.max_mode
-    re = [0] * (n_out + 1)
-    im = [0] * (n_out + 1)
-    for k, (pr, pi) in p.items():
-        for l, (qr, qi) in q.items():
-            m = k + l
-            if m >= 0 and k != l:  # real output: modes m < 0 are conjugates
-                re[m] += (k - l) * (pr * qr - pi * qi)
-                im[m] += (k - l) * (pr * qi + pi * qr)
-    # with S_m = sum_{k+l=m} (k - l) P_k Q_l = re[m] + i im[m] and D = dv dw,
-    # [v, w] = sum_m i S_m e^{imt} / 4D: c0 = -Im S_0 / 4D, and for m >= 1
-    # a_m = -Im S_m / 2D, b_m = -Re S_m / 2D
+    re, im = _mode_law(p, q)
+    pad = (_ZERO,) * (v.max_mode + w.max_mode + 1 - len(re))
+    # with S_m = re[m] + i im[m] and D = dv dw, [v, w] = sum_m i S_m e^{imt} / 4D:
+    # c0 = -Im S_0 / 4D, and for m >= 1 a_m = -Im S_m / 2D, b_m = -Re S_m / 2D
     den = 2 * dv * dw
     return TrigPoly(Fraction(-im[0], 2 * den),
-                    tuple(Fraction(-x, den) if x else _ZERO for x in im[1:]),
-                    tuple(Fraction(-x, den) if x else _ZERO for x in re[1:]))
+                    tuple(Fraction(-x, den) if x else _ZERO for x in im[1:]) + pad,
+                    tuple(Fraction(-x, den) if x else _ZERO for x in re[1:]) + pad)
 
 
 def evaluate(v: TrigPoly, theta: float) -> float:

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from bracketflow.closure import (FieldFamily, PolyField, Polynomial, closure,
-                                 lie_rank_at_point, poly_bracket, solve_combination,
-                                 spanning_test)
+from bracketflow.closure import (ClosureReport, FieldFamily, GeneratedField, IntegerSpan,
+                                 PolyField, Polynomial, closure, lie_rank_at_point,
+                                 poly_bracket, solve_combination, spanning_test)
 from bracketflow.trig_fields import TrigPoly, bracket
 
 COS1, SIN1 = TrigPoly.cosine(1), TrigPoly.sine(1)
@@ -213,6 +213,64 @@ def test_generated_labels_record_provenance():
     for g in report.generated[4:]:
         i, j = g.parents
         assert bracket(report.generated[i].field, report.generated[j].field) == g.field
+
+
+# ---- reference: the closure loop that brackets every pair before testing it ----
+
+def reference_closure(family, max_depth, max_mode_cap):
+    """Each pair as a Fraction bracket, then is_zero, the cap and coefficient_vector."""
+    span = IntegerSpan()
+    generated = []
+    for label, f in zip(family.labels, family.fields):
+        if not f.is_zero() and span.add(dict(enumerate(f.coefficient_vector(max_mode_cap)))):
+            generated.append(GeneratedField(label, f, None, 1))
+    depth_used, fixed_point, pair_cursor = 1, False, 0
+    for round_no in range(2, max_depth + 1):
+        count_before = len(generated)
+        for j in range(pair_cursor, count_before):
+            for i in range(j):
+                gi, gj = generated[i], generated[j]
+                w = bracket(gi.field, gj.field)
+                if w.is_zero() or w.effective_max_mode() > max_mode_cap:
+                    continue
+                if span.add(dict(enumerate(w.coefficient_vector(max_mode_cap)))):
+                    generated.append(GeneratedField(
+                        f"[{gi.label},{gj.label}]", w, (i, j), gi.depth + gj.depth))
+        pair_cursor = count_before
+        if len(generated) == count_before:
+            fixed_point = True
+            break
+        depth_used = round_no
+    spanned = {0} if span.contains({0: 1}) else set()
+    spanned |= {m for m in range(1, max_mode_cap + 1)
+                if span.contains({m: 1}) and span.contains({max_mode_cap + m: 1})}
+    return ClosureReport(family.labels, max_mode_cap, depth_used, span.rank,
+                         frozenset(spanned), spanned == set(range(max_mode_cap + 1)),
+                         fixed_point, generated)
+
+
+def test_closure_matches_the_bracket_first_reference():
+    rng = np.random.default_rng(41)
+
+    def pq():
+        return Fraction(int(rng.choice([-1, 1]) * rng.integers(1, 10)), int(rng.integers(1, 10)))
+
+    cases = [(four_field_family(), cap, 32) for cap in range(2, 17)]
+    for _ in range(3):
+        pair = FieldFamily.of_trig([("v", TrigPoly.from_coeffs(pq(), [pq()], [pq()])),
+                                    ("w", TrigPoly.from_coeffs(pq(), [0, pq()], [0, pq()]))])
+        cases += [(pair, cap, 32) for cap in (6, 8, 10)]
+        cases += [(pair, 8, depth) for depth in (2, 3)]
+    for k in (1, 3, 5):
+        cases.append((FieldFamily.of_trig([(f"cos{k}", TrigPoly.cosine(k)),
+                                           (f"sin{k}", TrigPoly.sine(k))]), 2 * k, 32))
+    # over-cap brackets of this pair are dropped, which changes what is generated
+    mixed = FieldFamily.of_trig([("v", COS1 + SIN2), ("sin1", SIN1)])
+    cases += [(mixed, cap, 32) for cap in (6, 8)]
+    cases += [(four_field_family(), 8, depth) for depth in (2, 3)]
+    for fam, cap, depth in cases:
+        assert (closure(fam, depth, cap).to_json_dict()
+                == reference_closure(fam, depth, cap).to_json_dict()), (fam.labels, cap, depth)
 
 
 # ---- polynomial fields ----

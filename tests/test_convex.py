@@ -344,6 +344,10 @@ NON_FINITE_CALLS = {
     "cone x0": lambda box, bad: cone_extremal_point([[0.0, 0.0]], [0.0, 0.0], [0.0, bad], box),
     "mackey prefix": lambda box, bad: mackey_cauchy_diagnostic(
         [[1.0, 0.0], [bad, 0.0], [0.25, 0.0]], box),
+    # qhull used to get these and raise QhullError
+    "from_vertices": lambda box, bad: ConvexBody.from_vertices([[bad, 0.0], [-1.0, 1.0],
+                                                                [-1.0, -1.0]]),
+    "from_vertices 1-d": lambda box, bad: ConvexBody.from_vertices([[-1.0], [bad]]),
 }
 
 

@@ -7,7 +7,8 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from bracketflow.trig_fields import TrigPoly, bracket, evaluate, sample
+from bracketflow.trig_fields import (TrigPoly, _gaussian_modes, _mode_law, bracket, evaluate,
+                                     sample)
 
 SIN1, COS1 = TrigPoly.sine(1), TrigPoly.cosine(1)
 SIN2, COS2 = TrigPoly.sine(2), TrigPoly.cosine(2)
@@ -99,6 +100,36 @@ def test_bracket_matches_product_to_sum_reference():
         got, expected = bracket(v, w), reference_bracket(v, w)
         assert got.max_mode == v.max_mode + w.max_mode
         assert got.to_json_dict() == expected.to_json_dict()
+
+
+def test_mode_law_cap_rejects_exactly_the_over_cap_brackets():
+    """With a cap, the kernel returns None exactly when [v, w] has content
+    above it, and otherwise the uncapped sums.  The pairs include top modes
+    that cancel: [cos2, sin2] is constant, [v, v] = 0, and in
+    [cos1 + cos2, cos2] mode 4 cancels while mode 3 does not."""
+    rng = np.random.default_rng(29)
+
+    def rand_field(n_modes, density):
+        def coeff():
+            if rng.uniform() >= density:
+                return Fraction(0)
+            return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
+        return TrigPoly.from_coeffs(coeff(), [coeff() for _ in range(n_modes)],
+                                    [coeff() for _ in range(n_modes)])
+
+    v = rand_field(3, 1.0)
+    pairs = [(COS2, SIN2), (v, v), (COS1 + COS2, COS2), (TrigPoly.zero(), v),
+             (TrigPoly.constant(2), COS3)]
+    for _ in range(60):
+        pairs.append((rand_field(int(rng.integers(0, 6)), rng.choice([0.3, 1.0])),
+                      rand_field(int(rng.integers(0, 6)), rng.choice([0.3, 1.0]))))
+    for v, w in pairs:
+        p, q = _gaussian_modes(v)[1], _gaussian_modes(w)[1]
+        full = _mode_law(p, q)
+        content = bracket(v, w).effective_max_mode()
+        for cap in range(v.max_mode + w.max_mode + 1):
+            expected = None if content > cap else full
+            assert _mode_law(p, q, cap) == expected, (v, w, cap)
 
 
 # ---- pinned examples ----
