@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .trig_fields import TrigPoly, _frac, _gaussian_modes, _mode_law, bracket
+from .trig_fields import TrigPoly, _frac, _gaussian_modes, _mode_law, _mode_row, bracket
 
 _ZERO = Fraction(0)
 
@@ -409,13 +409,9 @@ def closure(family: FieldFamily, max_depth: int, max_mode_cap: int) -> ClosureRe
                 s = _mode_law(modes[i], modes[j], max_mode_cap)
                 if s is None:
                     continue  # over the cap
-                # 4 dv dw times the bracket's coefficient_vector (see bracket);
+                # the row is 4 dv dw times the bracket's coefficient_vector;
                 # a zero bracket gives a zero row, which the span does not add
-                re, im = s
-                row = {0: -im[0]}
-                for m in range(1, len(re)):
-                    row[m], row[max_mode_cap + m] = -2 * im[m], -2 * re[m]
-                if span.add(row):
+                if span.add(_mode_row(s, max_mode_cap)):
                     gi, gj = generated[i], generated[j]
                     w = bracket(gi.field, gj.field)
                     generated.append(GeneratedField(

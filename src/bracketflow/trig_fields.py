@@ -245,6 +245,22 @@ def _mode_law(p: dict, q: dict, cap: Optional[int] = None):
     return re, im
 
 
+def _mode_row(sums, cap: int) -> dict:
+    """4D times the coefficient_vector(cap) of the bracket with these sums.
+
+    sums are ``_mode_law``'s (re, im) for tables with denominators dv and dw.
+    With S_m = re[m] + i im[m] and D = dv dw, [v, w] = sum_m i S_m e^{imt} / 4D,
+    so 4D (c0, a_m, b_m) = (-Im S_0, -2 Im S_m, -2 Re S_m), keyed by
+    coefficient_vector index (0, m, cap + m).  Modes above the cap are left
+    out: they must be zero, as ``_mode_law`` checks when given the cap.
+    """
+    re, im = sums
+    row = {0: -im[0]}
+    for m in range(1, min(len(re), cap + 1)):
+        row[m], row[cap + m] = -2 * im[m], -2 * re[m]
+    return row
+
+
 def bracket(v: TrigPoly, w: TrigPoly) -> TrigPoly:
     """Circle bracket [v, w] = (v' w - w' v) d/dtheta.
 
@@ -260,14 +276,13 @@ def bracket(v: TrigPoly, w: TrigPoly) -> TrigPoly:
     """
     dv, p = _gaussian_modes(v)
     dw, q = _gaussian_modes(w)
-    re, im = _mode_law(p, q)
-    pad = (_ZERO,) * (v.max_mode + w.max_mode + 1 - len(re))
-    # with S_m = re[m] + i im[m] and D = dv dw, [v, w] = sum_m i S_m e^{imt} / 4D:
-    # c0 = -Im S_0 / 4D, and for m >= 1 a_m = -Im S_m / 2D, b_m = -Re S_m / 2D
-    den = 2 * dv * dw
-    return TrigPoly(Fraction(-im[0], 2 * den),
-                    tuple(Fraction(-x, den) if x else _ZERO for x in im[1:]) + pad,
-                    tuple(Fraction(-x, den) if x else _ZERO for x in re[1:]) + pad)
+    n = v.max_mode + w.max_mode
+    den = 4 * dv * dw
+    vec = [_ZERO] * (2 * n + 1)  # coefficient_vector(n) of the result
+    for k, x in _mode_row(_mode_law(p, q), n).items():
+        if x:
+            vec[k] = Fraction(x, den)
+    return TrigPoly(vec[0], tuple(vec[1:n + 1]), tuple(vec[n + 1:]))
 
 
 def evaluate(v: TrigPoly, theta: float) -> float:

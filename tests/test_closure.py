@@ -267,6 +267,22 @@ def test_closure_matches_the_bracket_first_reference():
     # over-cap brackets of this pair are dropped, which changes what is generated
     mixed = FieldFamily.of_trig([("v", COS1 + SIN2), ("sin1", SIN1)])
     cases += [(mixed, cap, 32) for cap in (6, 8)]
+    # generators sharing their top mode k; [cos2, sin2 + 1] = -2 (sin2 + 1), so
+    # that family has rank 2 and spans no mode.  The fields of span{1, cos k, sin k}
+    # that vanish where (cos k t, sin k t) = (c, s) form a 2-dimensional
+    # subalgebra, so each bracket lies in the span of its parents, within
+    # cap k, while its sums run to mode 2k
+    cases.append((FieldFamily.of_trig([("cos2", COS2), ("sin2+1", SIN2 + TrigPoly.constant(1))]),
+                  2, 32))
+    for k in (1, 2, 3):
+        t = pq()
+        c, s = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+        fields = []
+        for label in ("v", "w"):
+            a, b = pq(), pq()
+            fields.append((label, TrigPoly.from_coeffs(-(a * c + b * s), [0] * (k - 1) + [a],
+                                                       [0] * (k - 1) + [b])))
+        cases += [(FieldFamily.of_trig(fields), cap, 32) for cap in (k, k + 1, 2 * k + 1)]
     cases += [(four_field_family(), 8, depth) for depth in (2, 3)]
     for fam, cap, depth in cases:
         assert (closure(fam, depth, cap).to_json_dict()

@@ -7,8 +7,8 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from bracketflow.trig_fields import (TrigPoly, _gaussian_modes, _mode_law, bracket, evaluate,
-                                     sample)
+from bracketflow.trig_fields import (TrigPoly, _gaussian_modes, _mode_law, _mode_row, bracket,
+                                     evaluate, sample)
 
 SIN1, COS1 = TrigPoly.sine(1), TrigPoly.cosine(1)
 SIN2, COS2 = TrigPoly.sine(2), TrigPoly.cosine(2)
@@ -104,8 +104,10 @@ def test_bracket_matches_product_to_sum_reference():
 
 def test_mode_law_cap_rejects_exactly_the_over_cap_brackets():
     """With a cap, the kernel returns None exactly when [v, w] has content
-    above it, and otherwise the uncapped sums.  The pairs include top modes
-    that cancel: [cos2, sin2] is constant, [v, v] = 0, and in
+    above it, and otherwise the uncapped sums, whose row at that cap is
+    4 dv dw times the bracket's coefficient_vector.  The pairs include top
+    modes that cancel: [cos2, sin2] is constant, [v, v] = 0,
+    [cos2, sin2 + 1] = -2 (sin2 + 1) has sine content at mode 2, and in
     [cos1 + cos2, cos2] mode 4 cancels while mode 3 does not."""
     rng = np.random.default_rng(29)
 
@@ -118,18 +120,23 @@ def test_mode_law_cap_rejects_exactly_the_over_cap_brackets():
                                     [coeff() for _ in range(n_modes)])
 
     v = rand_field(3, 1.0)
-    pairs = [(COS2, SIN2), (v, v), (COS1 + COS2, COS2), (TrigPoly.zero(), v),
-             (TrigPoly.constant(2), COS3)]
+    pairs = [(COS2, SIN2), (v, v), (COS2, SIN2 + TrigPoly.constant(1)),
+             (COS1 + COS2, COS2), (TrigPoly.zero(), v), (TrigPoly.constant(2), COS3)]
     for _ in range(60):
         pairs.append((rand_field(int(rng.integers(0, 6)), rng.choice([0.3, 1.0])),
                       rand_field(int(rng.integers(0, 6)), rng.choice([0.3, 1.0]))))
     for v, w in pairs:
-        p, q = _gaussian_modes(v)[1], _gaussian_modes(w)[1]
+        (dv, p), (dw, q) = _gaussian_modes(v), _gaussian_modes(w)
         full = _mode_law(p, q)
-        content = bracket(v, w).effective_max_mode()
+        vw = bracket(v, w)
+        content = vw.effective_max_mode()
         for cap in range(v.max_mode + w.max_mode + 1):
             expected = None if content > cap else full
             assert _mode_law(p, q, cap) == expected, (v, w, cap)
+            if expected is not None:
+                row = {k: x for k, x in _mode_row(full, cap).items() if x}
+                vec = vw.coefficient_vector(cap)
+                assert row == {k: 4 * dv * dw * c for k, c in enumerate(vec) if c}, (v, w, cap)
 
 
 # ---- pinned examples ----
