@@ -3,12 +3,26 @@
 Reads JSON (and CSV for sampled diffeomorphisms and point sets), writes
 JSON/CSV artifacts, prints a one-line summary.  Exit status: 0 on
 success, 2 on domain errors (non-generating family, intersecting sets,
-invalid seeds, contract violations, malformed point CSV), 1 on I/O or
-parse errors.  Runs are deterministic: the same config and inputs give
-byte-identical output.  JSON artifacts are the bytes of
-``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, with every
-scalar written by the C encoder.  The argument parser is built once per
-process.
+invalid seeds, contract violations, malformed point CSV) and on usage
+errors, 1 on I/O or parse errors.  Runs are deterministic: the same
+arguments and inputs give byte-identical output.  JSON artifacts are the
+bytes of ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline,
+with every scalar written by the C encoder.  The argument parser is built
+once per process.
+
+Every subcommand takes ``--input`` (required) and ``--output``.  Beyond
+those, each accepts only the flags it reads; any other flag is a usage
+error:
+
+    closure           --cap, --depth
+    steer             --epsilon, --budget, --trajectory
+    flow, residual    --tol
+
+A setting is its flag, else the input's JSON field of the same name, else
+the library default: ``grid`` and ``tol`` from ``flows.DEFAULT_GRID`` and
+``flows.DEFAULT_RTOL``; ``epsilon``, ``budget`` and ``primitive_depth``
+from the ``SteeringProblem`` fields; closure's ``cap`` and ``depth`` in
+``_cmd_closure``.
 """
 from __future__ import annotations
 
@@ -16,36 +30,19 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .closure import FieldFamily, closure, spanning_test
+from .closure import FieldFamily, closure
 from .convex import (ConvexBody, InvalidCertificate, InvalidSeed, SetsIntersect,
                      cone_extremal_point, mackey_cauchy_diagnostic, minkowski, separate,
                      symmetrize)
-from .flows import CircleDiffeo, FlowWord, IntegrationError, apply_word, \
-    commutator_flow_residual
+from .flows import DEFAULT_GRID, DEFAULT_RTOL, CircleDiffeo, FlowWord, IntegrationError, \
+    apply_word, commutator_flow_residual
 from .steering import NotBracketGenerating, SteeringProblem, default_family, steer
 from .trig_fields import TrigPoly, bracket, evaluate
-
-COMMANDS = ("bracket", "closure", "flow", "residual", "steer",
-            "minkowski", "separate", "cone", "mackey")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input_path: Optional[str] = None
-    output_path: Optional[str] = None
-    trajectory_path: Optional[str] = None
-    cap: Optional[int] = None
-    depth: Optional[int] = None
-    epsilon: Optional[float] = None
-    budget: Optional[int] = None
-    tol: Optional[float] = None
 
 
 def _read_json(path: str) -> dict:
@@ -149,113 +146,120 @@ def _load_diffeo(spec, grid: int) -> CircleDiffeo:
     raise ValueError(f"unknown diffeo kind {kind!r}")
 
 
+def _setting(args: argparse.Namespace, data: dict, name: str, default):
+    """The flag ``--name`` if given, else the input's ``name`` field, else
+    ``default``, as the type of ``default``."""
+    value = getattr(args, name, None)
+    if value is None:
+        value = data.get(name, default)
+    return type(default)(value)
+
+
 # ---------------------------------------------------------------------------
 # command handlers (each returns the one-line summary)
 
-def _cmd_bracket(cfg: RunConfig, data: dict) -> str:
+def _cmd_bracket(args: argparse.Namespace, data: dict) -> str:
     v = TrigPoly.from_json_dict(data["v"])
     w = TrigPoly.from_json_dict(data["w"])
     result = bracket(v, w)
-    _write_text(cfg.output_path, _dump_json({"bracket": result.to_json_dict()}))
+    _write_text(args.output, _dump_json({"bracket": result.to_json_dict()}))
     return f"bracket: [{v.pretty()}, {w.pretty()}] = {result.pretty()}"
 
 
-def _cmd_closure(cfg: RunConfig, data: dict) -> str:
+def _cmd_closure(args: argparse.Namespace, data: dict) -> str:
     family = FieldFamily.from_json_dict(data)
-    cap = cfg.cap if cfg.cap is not None else int(data.get("cap", 8))
-    depth = cfg.depth if cfg.depth is not None else int(data.get("depth", 8))
+    cap = _setting(args, data, "cap", 8)
+    depth = _setting(args, data, "depth", 8)
     report = closure(family, max_depth=depth, max_mode_cap=cap)
-    _write_text(cfg.output_path, _dump_json(report.to_json_dict()))
+    _write_text(args.output, _dump_json(report.to_json_dict()))
     return (f"closure: rank {report.rank}, depth {report.depth_used}, "
-            f"spanning(N={cap}) = {spanning_test(report, cap)} "
+            f"spanning(N={cap}) = {report.spanning} "
             f"[truncation surrogate, not a density proof]")
 
 
-def _cmd_flow(cfg: RunConfig, data: dict) -> str:
+def _cmd_flow(args: argparse.Namespace, data: dict) -> str:
     field = TrigPoly.from_json_dict(data["field"])
     t = float(data["t"])
-    grid = int(data.get("grid", 256))
-    phi = _load_diffeo(data.get("diffeo"), grid)
-    rtol = cfg.tol if cfg.tol is not None else float(data.get("tol", 1e-10))
+    phi = _load_diffeo(data.get("diffeo"), _setting(args, data, "grid", DEFAULT_GRID))
+    rtol = _setting(args, data, "tol", DEFAULT_RTOL)
     out = apply_word(FlowWord.of([(field, t)]), phi, rtol=rtol)
-    _write_text(cfg.output_path, out.to_csv())
+    _write_text(args.output, out.to_csv())
     sup = float(np.max(np.abs(out.lift - phi.lift)))
     return f"flow: advanced {out.grid_size} samples by t={t}, sup displacement {sup:.6g}"
 
 
-def _cmd_residual(cfg: RunConfig, data: dict) -> str:
+def _cmd_residual(args: argparse.Namespace, data: dict) -> str:
     x = TrigPoly.from_json_dict(data["x"])
     y = TrigPoly.from_json_dict(data["y"])
     theta = float(data["theta"])
     t = float(data["t"])
-    rtol = cfg.tol if cfg.tol is not None else float(data.get("tol", 1e-10))
+    rtol = _setting(args, data, "tol", DEFAULT_RTOL)
     res = commutator_flow_residual(x, y, theta, t, rtol=rtol)
     bval = evaluate(bracket(x, y), theta)
-    _write_text(cfg.output_path, _dump_json(
+    _write_text(args.output, _dump_json(
         {"residual": res, "bracket_value": bval, "theta": theta, "t": t}))
     return f"residual: {res:.9g} vs bracket {bval:.9g} at theta={theta}, t={t}"
 
 
-def _cmd_steer(cfg: RunConfig, data: dict) -> str:
-    grid = int(data.get("grid", 256))
-    target = _load_diffeo(data["target"], grid)
+def _cmd_steer(args: argparse.Namespace, data: dict) -> str:
+    target = _load_diffeo(data["target"], _setting(args, data, "grid", DEFAULT_GRID))
     family = FieldFamily.from_json_dict(data["family"]) if "family" in data else default_family()
     problem = SteeringProblem(
         target=target,
         family=family,
-        epsilon=cfg.epsilon if cfg.epsilon is not None else float(data.get("epsilon", 1e-2)),
-        budget=cfg.budget if cfg.budget is not None else int(data.get("budget", 400)),
-        primitive_depth=int(data.get("primitive_depth", 3)),
+        epsilon=_setting(args, data, "epsilon", SteeringProblem.epsilon),
+        budget=_setting(args, data, "budget", SteeringProblem.budget),
+        primitive_depth=_setting(args, data, "primitive_depth", SteeringProblem.primitive_depth),
     )
     result = steer(problem)
-    _write_text(cfg.output_path, _dump_json(result.to_json_dict()))
-    if cfg.trajectory_path:
+    _write_text(args.output, _dump_json(result.to_json_dict()))
+    if args.trajectory:
         lines = ["step,distance"]
         lines.extend(f"{i + 1},{d!r}" for i, d in enumerate(result.trace))
-        _write_text(cfg.trajectory_path, "\n".join(lines) + "\n")
+        _write_text(args.trajectory, "\n".join(lines) + "\n")
     return (f"steer: error {result.achieved_error:.6g} with {len(result.word)} steps, "
             f"converged={result.converged}")
 
 
-def _cmd_minkowski(cfg: RunConfig, data: dict) -> str:
+def _cmd_minkowski(args: argparse.Namespace, data: dict) -> str:
     body = ConvexBody.from_json_dict(data["body"])
     x = np.array(data["x"], dtype=float)
     value = minkowski(body, x)
-    _write_text(cfg.output_path, _dump_json({"value": value}))
+    _write_text(args.output, _dump_json({"value": value}))
     return f"minkowski: gauge({x.tolist()}) = {value:.9g}"
 
 
-def _cmd_separate(cfg: RunConfig, data: dict) -> str:
+def _cmd_separate(args: argparse.Namespace, data: dict) -> str:
     a = _load_points(data["A"])
     if "body" in data["B"]:
         b = ConvexBody.from_json_dict(data["B"]["body"])
     else:
         b = _load_points(data["B"]["points"])
     cert = separate(a, b)
-    _write_text(cfg.output_path, _dump_json(cert.to_json_dict()))
+    _write_text(args.output, _dump_json(cert.to_json_dict()))
     return f"separate: alpha {cert.alpha:.9g} < beta {cert.beta:.9g}"
 
 
-def _cmd_cone(cfg: RunConfig, data: dict) -> str:
+def _cmd_cone(args: argparse.Namespace, data: dict) -> str:
     b_points = _load_points(data["B"])
     a1 = np.array(data["a1"], dtype=float)
     x0 = np.array(data["x0"], dtype=float)
     body = symmetrize(ConvexBody.from_json_dict(data["D"]))
     result = cone_extremal_point(b_points, a1, x0, body)
-    _write_text(cfg.output_path, _dump_json(result.to_json_dict()))
+    _write_text(args.output, _dump_json(result.to_json_dict()))
     return (f"cone: vertex {result.vertex.tolist()} after {len(result.iterates)} iterate(s), "
             f"isolated={result.isolates(b_points)}")
 
 
-def _cmd_mackey(cfg: RunConfig, data: dict) -> str:
+def _cmd_mackey(args: argparse.Namespace, data: dict) -> str:
     prefix = _load_points(data["prefix"])
     body = ConvexBody.from_json_dict(data["M"])
     report = mackey_cauchy_diagnostic(prefix, body)
-    _write_text(cfg.output_path, _dump_json(report.to_json_dict()))
+    _write_text(args.output, _dump_json(report.to_json_dict()))
     return f"mackey: is_cauchy_prefix={report.is_cauchy_prefix}, rate={report.rate}"
 
 
-_HANDLERS = {
+COMMANDS = {
     "bracket": _cmd_bracket,
     "closure": _cmd_closure,
     "flow": _cmd_flow,
@@ -268,15 +272,15 @@ _HANDLERS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one command; returns the process exit status."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command line; returns the process exit status."""
     try:
-        data = _read_json(cfg.input_path) if cfg.input_path else {}
+        data = _read_json(args.input)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 1
     try:
-        summary = _HANDLERS[cfg.command](cfg, data)
+        summary = COMMANDS[args.command](args, data)
     except (NotBracketGenerating, SetsIntersect, InvalidSeed, InvalidCertificate,
             IntegrationError, ValueError, TypeError, KeyError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -290,40 +294,34 @@ def run(cfg: RunConfig) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
+    table = (  # flag, the subcommands that read it, argparse keywords
+        ("--input", COMMANDS, dict(required=True, help="JSON input file")),
+        ("--output", COMMANDS, dict(help="artifact output path")),
+        ("--cap", ("closure",), dict(type=int, help="mode cap")),
+        ("--depth", ("closure",), dict(type=int, help="bracket rounds")),
+        ("--epsilon", ("steer",), dict(type=float, help="distance to reach")),
+        ("--budget", ("steer",), dict(type=int, help="word length budget")),
+        ("--trajectory", ("steer",), dict(help="per-step distance CSV")),
+        ("--tol", ("flow", "residual"),
+         dict(type=float, help="Dormand-Prince relative tolerance; single-mode "
+                               "(sl(2)-form) fields flow in closed form and ignore it")),
+    )
     parser = argparse.ArgumentParser(
         prog="bracketflow",
-        description="Bracket closure, circle flows, steering, and convex gauges.")
+        description="Bracket closure, circle flows, steering, and convex gauges.",
+        epilog="A setting is its flag, else the input's JSON field of the same name, "
+               "else the library default.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} operation")
-        p.add_argument("--input", required=True, help="JSON input file")
-        p.add_argument("--output", default=None, help="artifact output path")
-        p.add_argument("--trajectory", default=None,
-                       help="per-step distance CSV (steer only)")
-        p.add_argument("--cap", type=int, default=None, help="mode cap override")
-        p.add_argument("--depth", type=int, default=None, help="depth override")
-        p.add_argument("--epsilon", type=float, default=None, help="tolerance override")
-        p.add_argument("--budget", type=int, default=None, help="budget override")
-        p.add_argument("--tol", type=float, default=None,
-                       help="Dormand-Prince relative tolerance; single-mode "
-                            "(sl(2)-form) fields flow in closed form and ignore it")
+    commands = {name: sub.add_parser(name, help=f"run the {name} operation")
+                for name in COMMANDS}
+    for flag, names, keywords in table:
+        for name in names:
+            commands[name].add_argument(flag, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        input_path=args.input,
-        output_path=args.output,
-        trajectory_path=args.trajectory,
-        cap=args.cap,
-        depth=args.depth,
-        epsilon=args.epsilon,
-        budget=args.budget,
-        tol=args.tol,
-    )
-    return run(cfg)
+    return run(_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

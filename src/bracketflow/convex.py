@@ -105,7 +105,8 @@ class ConvexBody:
 
     @staticmethod
     def from_vertices(points) -> "ConvexBody":
-        """Hull of the points; 0 must be interior so offsets normalize to 1."""
+        """Hull of the points, its vertices in ``vertices()``'s lexicographic
+        order; 0 must be interior so offsets normalize to 1."""
         pts = _finite(np.atleast_2d(np.array(points, dtype=float)), "points")
         n = pts.shape[1]
         if n == 1:
@@ -120,7 +121,8 @@ class ConvexBody:
         b = -hull.equations[:, -1]  # a x <= b
         if np.any(b <= 0):
             raise ValueError("origin must be interior")
-        return ConvexBody(a / b[:, None], pts[hull.vertices])
+        verts = pts[hull.vertices]
+        return ConvexBody(a / b[:, None], verts[np.lexsort(verts.T[::-1])])
 
     @staticmethod
     def unit_box(n: int) -> "ConvexBody":

@@ -387,16 +387,12 @@ class FlowWord:
         return [{"field": f.to_json_dict(), "t": t} for f, t in self.steps]
 
     @staticmethod
-    def from_json_list(data: list, resolve_label=None) -> "FlowWord":
+    def from_json_list(data: list) -> "FlowWord":
         steps = []
         for entry in data:
-            if "field" in entry:
-                f = TrigPoly.from_json_dict(entry["field"])
-            elif "label" in entry and resolve_label is not None:
-                f = resolve_label(entry["label"])
-            else:
-                raise ValueError("word step needs an inline field or a resolvable label")
-            steps.append((f, float(entry["t"])))
+            if "field" not in entry:
+                raise ValueError("word step needs an inline field")
+            steps.append((TrigPoly.from_json_dict(entry["field"]), float(entry["t"])))
         return FlowWord.of(steps)
 
 

@@ -1,6 +1,7 @@
 """Command-line artifacts: correctness, round trips, exit codes, determinism."""
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bracketflow.cli import COMMANDS, RunConfig, _dump_json, _load_points, _parser, main, run
+from bracketflow.cli import COMMANDS, _dump_json, _load_points, _parser, main
 from bracketflow.flows import CircleDiffeo
 from bracketflow.trig_fields import TrigPoly
 
@@ -32,7 +33,7 @@ def test_bracket_command_round_trip(tmp_path):
     inp = write(tmp_path, "in.json", {"v": TrigPoly.sine(1).to_json_dict(),
                                       "w": TrigPoly.cosine(1).to_json_dict()})
     out = tmp_path / "out.json"
-    assert run(RunConfig("bracket", inp, str(out))) == 0
+    assert main(["bracket", "--input", inp, "--output", str(out)]) == 0
     got = TrigPoly.from_json_dict(json.loads(out.read_text())["bracket"])
     assert got == TrigPoly.constant(1)
 
@@ -40,7 +41,8 @@ def test_bracket_command_round_trip(tmp_path):
 def test_closure_command_reports_spanning(tmp_path):
     inp = write(tmp_path, "family.json", family_json())
     out = tmp_path / "closure.json"
-    assert run(RunConfig("closure", inp, str(out), cap=3, depth=4)) == 0
+    assert main(["closure", "--input", inp, "--output", str(out),
+                 "--cap", "3", "--depth", "4"]) == 0
     report = json.loads(out.read_text())
     assert report["spanning"] is True
     assert report["rank"] == 7
@@ -51,7 +53,7 @@ def test_flow_command_zero_field_is_identity(tmp_path):
     inp = write(tmp_path, "flow.json",
                 {"field": TrigPoly.zero().to_json_dict(), "t": 2.0, "grid": 32})
     out = tmp_path / "flow.csv"
-    assert run(RunConfig("flow", inp, str(out))) == 0
+    assert main(["flow", "--input", inp, "--output", str(out)]) == 0
     diffeo = CircleDiffeo.from_csv(out.read_text())
     assert np.allclose(diffeo.lift, CircleDiffeo.identity(32).lift)
 
@@ -61,7 +63,7 @@ def test_residual_command(tmp_path):
                                        "y": TrigPoly.cosine(1).to_json_dict(),
                                        "theta": 0.0, "t": 0.02})
     out = tmp_path / "res.json.out"
-    assert run(RunConfig("residual", inp, str(out))) == 0
+    assert main(["residual", "--input", inp, "--output", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["bracket_value"] == pytest.approx(1.0)
     assert data["residual"] == pytest.approx(1.0, abs=0.05)
@@ -71,9 +73,8 @@ def test_steer_command_and_trajectory(tmp_path):
     inp = write(tmp_path, "steer.json",
                 {"target": {"kind": "rotation", "angle": 0.3}, "grid": 256})
     out, traj = tmp_path / "steer.json.out", tmp_path / "traj.csv"
-    cfg = RunConfig("steer", inp, str(out), trajectory_path=str(traj),
-                    epsilon=1e-2, budget=400)
-    assert run(cfg) == 0
+    assert main(["steer", "--input", inp, "--output", str(out), "--trajectory", str(traj),
+                 "--epsilon", "1e-2", "--budget", "400"]) == 0
     result = json.loads(out.read_text())
     assert result["converged"] is True
     assert result["achieved_error"] <= 1e-2
@@ -86,12 +87,12 @@ def test_minkowski_separate_cone_mackey_commands(tmp_path):
     box = {"dim": 2, "halfspaces": [[1, 0], [-1, 0], [0, 1], [0, -1]]}
     inp = write(tmp_path, "mink.json", {"body": box, "x": [2.0, 0.0]})
     out = tmp_path / "mink.out"
-    assert run(RunConfig("minkowski", inp, str(out))) == 0
+    assert main(["minkowski", "--input", inp, "--output", str(out)]) == 0
     assert json.loads(out.read_text())["value"] == pytest.approx(2.0)
 
     inp = write(tmp_path, "sep.json", {"A": [[2.0, 0.0]], "B": {"body": box}})
     out = tmp_path / "sep.out"
-    assert run(RunConfig("separate", inp, str(out))) == 0
+    assert main(["separate", "--input", inp, "--output", str(out)]) == 0
     cert = json.loads(out.read_text())
     assert cert["alpha"] < cert["beta"]
 
@@ -99,21 +100,21 @@ def test_minkowski_separate_cone_mackey_commands(tmp_path):
                 {"B": [[0.0, 0.0], [0.0, 0.5]], "a1": [0.0, 0.0],
                  "x0": [0.0, 1.0], "D": box})
     out = tmp_path / "cone.out"
-    assert run(RunConfig("cone", inp, str(out))) == 0
+    assert main(["cone", "--input", inp, "--output", str(out)]) == 0
     cone = json.loads(out.read_text())
     assert cone["vertex"] == pytest.approx([0.0, 0.5])
 
     inp = write(tmp_path, "mackey.json",
                 {"prefix": [[2.0 ** -k, 0.0] for k in range(6)], "M": box})
     out = tmp_path / "mackey.out"
-    assert run(RunConfig("mackey", inp, str(out))) == 0
+    assert main(["mackey", "--input", inp, "--output", str(out)]) == 0
     assert json.loads(out.read_text())["is_cauchy_prefix"] is True
 
 
 def test_domain_errors_exit_two(tmp_path, capsys):
     box = {"dim": 2, "halfspaces": [[1, 0], [-1, 0], [0, 1], [0, -1]]}
     inp = write(tmp_path, "sep.json", {"A": [[0.0, 0.0]], "B": {"body": box}})
-    assert run(RunConfig("separate", inp)) == 2
+    assert main(["separate", "--input", inp]) == 2
 
     fam2 = {"fields": [
         {"label": "cos2", "field": TrigPoly.cosine(2).to_json_dict()},
@@ -123,20 +124,25 @@ def test_domain_errors_exit_two(tmp_path, capsys):
                 {"target": {"kind": "word",
                             "steps": [{"field": TrigPoly.sine(1).to_json_dict(), "t": 0.4}]},
                  "family": fam2, "grid": 128, "epsilon": 1e-3})
-    assert run(RunConfig("steer", inp)) == 2
+    assert main(["steer", "--input", inp]) == 2
 
     inp = write(tmp_path, "flow.json",
                 {"field": {"c0": "0", "cos": ["0"] * 7 + ["4"], "sin": []},
                  "t": 3.0, "grid": 256})
-    assert run(RunConfig("flow", inp)) == 2
+    assert main(["flow", "--input", inp]) == 2
     assert "IntegrationError: flow step broke lift monotonicity" in capsys.readouterr().err
+
+    inp = write(tmp_path, "steer.json",
+                {"target": {"kind": "word", "steps": [{"label": "cos1", "t": 0.4}]}})
+    assert main(["steer", "--input", inp]) == 2
+    assert "word step needs an inline field" in capsys.readouterr().err
 
 
 def test_io_errors_exit_one(tmp_path):
-    assert run(RunConfig("bracket", str(tmp_path / "missing.json"))) == 1
+    assert main(["bracket", "--input", str(tmp_path / "missing.json")]) == 1
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    assert run(RunConfig("bracket", str(bad))) == 1
+    assert main(["bracket", "--input", str(bad)]) == 1
 
 
 def test_artifacts_are_byte_identical_across_runs(tmp_path):
@@ -144,14 +150,16 @@ def test_artifacts_are_byte_identical_across_runs(tmp_path):
                 {"target": {"kind": "rotation", "angle": 0.25}, "grid": 128,
                  "epsilon": 1e-2, "budget": 150})
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert run(RunConfig("steer", inp, str(out1))) == 0
-    assert run(RunConfig("steer", inp, str(out2))) == 0
+    assert main(["steer", "--input", inp, "--output", str(out1)]) == 0
+    assert main(["steer", "--input", inp, "--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
     inp = write(tmp_path, "family.json", family_json())
     out1, out2 = tmp_path / "c1.json", tmp_path / "c2.json"
-    assert run(RunConfig("closure", inp, str(out1), cap=4, depth=6)) == 0
-    assert run(RunConfig("closure", inp, str(out2), cap=4, depth=6)) == 0
+    assert main(["closure", "--input", inp, "--output", str(out1),
+                 "--cap", "4", "--depth", "6"]) == 0
+    assert main(["closure", "--input", inp, "--output", str(out2),
+                 "--cap", "4", "--depth", "6"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -214,7 +222,7 @@ def test_point_sets_load_from_csv(tmp_path):
     inp = write(tmp_path, "cone.json",
                 {"B": {"csv": str(csv)}, "a1": [0.0, 0.0], "x0": [0.0, 1.0], "D": box})
     out = tmp_path / "cone.out"
-    assert run(RunConfig("cone", inp, str(out))) == 0
+    assert main(["cone", "--input", inp, "--output", str(out)]) == 0
     assert json.loads(out.read_text())["vertex"] == pytest.approx([0.0, 0.5])
 
 
@@ -225,8 +233,8 @@ def test_tol_override_reaches_integrator(tmp_path):
                                        "y": TrigPoly.cosine(1).to_json_dict(),
                                        "theta": 0.3, "t": 0.05})
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert run(RunConfig("residual", inp, str(out1), tol=1e-6)) == 0
-    assert run(RunConfig("residual", inp, str(out2), tol=1e-12)) == 0
+    assert main(["residual", "--input", inp, "--output", str(out1), "--tol", "1e-6"]) == 0
+    assert main(["residual", "--input", inp, "--output", str(out2), "--tol", "1e-12"]) == 0
     r1 = json.loads(out1.read_text())["residual"]
     r2 = json.loads(out2.read_text())["residual"]
     assert r1 != r2  # different step control, visibly different rounding
@@ -248,7 +256,7 @@ def test_point_csv_rejects_bad_rows(tmp_path, capsys, text, problem):
     box = {"dim": 2, "halfspaces": [[1, 0], [-1, 0], [0, 1], [0, -1]]}
     inp = write(tmp_path, "cone.json",
                 {"B": {"csv": str(csv)}, "a1": [0.0, 0.0], "x0": [0.0, 1.0], "D": box})
-    assert run(RunConfig("cone", inp, str(tmp_path / "cone.out"))) == 2
+    assert main(["cone", "--input", inp, "--output", str(tmp_path / "cone.out")]) == 2
     assert problem in capsys.readouterr().err
 
 
@@ -256,7 +264,7 @@ def test_inline_point_sets_reject_non_finite_coordinates(tmp_path, capsys):
     box = {"dim": 2, "halfspaces": [[1, 0], [-1, 0], [0, 1], [0, -1]]}
     inp = write(tmp_path, "mackey.json",
                 {"prefix": [[1.0, 0.0], [math.nan, 0.0], [0.25, 0.0]], "M": box})
-    assert run(RunConfig("mackey", inp, str(tmp_path / "mackey.out"))) == 2
+    assert main(["mackey", "--input", inp, "--output", str(tmp_path / "mackey.out")]) == 2
     assert "non-finite coordinate" in capsys.readouterr().err
 
 
@@ -342,3 +350,43 @@ def test_reused_parser_writes_what_a_fresh_process_writes(tmp_path, capsys):
     assert shown.value.code == 0
     listing = capsys.readouterr().out
     assert all(name in listing for name in COMMANDS)
+
+
+# ---------------------------------------------------------------------------
+# each subcommand accepts only the flags it reads
+
+READS = {  # subcommand: its flags besides --input and --output
+    "bracket": set(), "closure": {"--cap", "--depth"}, "flow": {"--tol"},
+    "residual": {"--tol"}, "steer": {"--epsilon", "--budget", "--trajectory"},
+    "minkowski": set(), "separate": set(), "cone": set(), "mackey": set(),
+}
+SETTINGS = set().union(*READS.values())
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys, command):
+    inp = write(tmp_path, "in.json", {})
+    for flag in sorted(READS[command]):
+        assert _parser().parse_args([command, "--input", inp, flag, "1"]).command == command
+    for flag in sorted(SETTINGS - READS[command]):
+        with pytest.raises(SystemExit) as usage:
+            main([command, "--input", inp, flag, "1"])
+        assert usage.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_lists_exactly_the_flags_a_command_reads(capsys, command):
+    with pytest.raises(SystemExit) as shown:
+        main([command, "--help"])
+    assert shown.value.code == 0
+    listed = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
+    assert listed == {"--help", "--input", "--output"} | READS[command]
+
+
+def test_entry_point_rejects_a_flag_its_command_does_not_read(tmp_path):
+    inp = write(tmp_path, "steer.json", {"target": {"kind": "rotation", "angle": 0.3}})
+    proc = subprocess.run([sys.executable, "-m", "bracketflow.cli", "steer",
+                           "--input", inp, "--cap", "4"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --cap 4" in proc.stderr

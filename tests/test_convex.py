@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import linprog
 
 from bracketflow import convex
-from bracketflow.cli import RunConfig, run
+from bracketflow.cli import main
 from bracketflow.convex import (ConvexBody, InvalidCertificate, InvalidSeed, SetsIntersect,
                                 cone_extremal_point, mackey_cauchy_diagnostic,
                                 minkowski, separate, symmetrize)
@@ -90,6 +90,18 @@ def test_gauge_one_on_boundary():
         assert minkowski(body, v) == pytest.approx(1.0, abs=1e-9)
     for v in body.vertices():
         assert body.contains(0.99 * v) and not body.contains(1.01 * v, tol=1e-12)
+
+
+def test_vertices_from_points_share_the_halfspace_body_order():
+    # the hull's vertices, as the body of the hull's half-spaces lists them
+    body = ConvexBody.from_vertices([[2, 0], [0, 1], [-1, 0], [0, -3]])
+    assert body.vertices().tolist() == [[-1, 0], [0, -3], [0, 1], [2, 0]]
+    rng = np.random.default_rng(13)
+    for n in (2, 3):
+        cloud = rng.normal(size=(30, n))
+        body = ConvexBody.from_vertices(cloud)
+        assert np.allclose(body.vertices(), ConvexBody.from_normals(body.normals).vertices(),
+                           atol=1e-9)
 
 
 # ---- symmetrize examples ----
@@ -639,7 +651,7 @@ def test_separate_checks_its_certificate(monkeypatch, tmp_path, factor):
         separate(a, b)
     inp = tmp_path / "sep.json"
     inp.write_text(json.dumps({"A": a, "B": {"points": b}}), encoding="utf-8")
-    assert run(RunConfig("separate", str(inp))) == 2
+    assert main(["separate", "--input", str(inp)]) == 2
 
 
 def test_separate_memory_stays_small():
