@@ -3,14 +3,15 @@
 Diffeomorphisms are kept as monotone lifts sampled on a uniform grid;
 lifts live on the real line, so monotonicity and sup distances are
 well defined and there are no branch cuts.  ``flow_states`` advances a
-batch of lift samples to one time: a single-mode field c0 + a cos n
-theta + b sin n theta flows in closed form (its span with 1 is a copy
-of sl(2, R), so its flow is the n-fold lift of a Moebius map; the
-closed form is built once per field instance), and every other field
-through an adaptive Dormand-Prince integrator that steps the whole
-batch together.  Either way repeated applications of the same word are
-bitwise reproducible; ``apply_steps`` is the one loop that applies a
-word.  Between samples a lift is the trigonometric interpolant of its
+batch of lift samples to one time, or to each of an array of times, one
+row per time: a single-mode field c0 + a cos n theta + b sin n theta
+flows in closed form (its span with 1 is a copy of sl(2, R), so its flow
+is the n-fold lift of a Moebius map; the closed form is built once per
+field instance and turns all the times together), and every other field
+through an adaptive Dormand-Prince integrator that steps the whole batch
+together, one time after another.  Either way a row is bitwise the
+one-time call, and repeated applications of the same word are bitwise
+reproducible; ``apply_steps`` is the one loop that applies a word.  Between samples a lift is the trigonometric interpolant of its
 displacement, spectrally accurate for smooth diffeomorphisms.  It is
 evaluated from a power table of exp(i x): for m queries and K modes,
 O(m K) multiplies and one complex exp per query.  Its Newton inverse
@@ -73,81 +74,9 @@ def _rhs(field: TrigPoly):
     return f
 
 
-def _sl2_flow(field: TrigPoly):
-    """Closed-form flow (t, y) -> y(t) of c0 + a cos n theta + b sin n theta.
-
-    Returns None when a mode below the top one is nonzero.  With
-    phi = n theta / 2, the vector u = (cos phi, sin phi) follows the
-    linear flow of M = (n/2) [[-b, a - c0], [a + c0, b]].  As M^2 =
-    -det(M) I, exp(hM) = C(h) I + S(h) M: cos/sin if det M > 0,
-    cosh/sinh if det M < 0 (divided by cosh, which keeps the direction
-    of exp(hM) u), and I + hM if det M = 0; the sign of det M is taken
-    from the exact coefficients.  The lift is the continuous angle of
-    exp(hM) u0, summed over sub-steps on which phi turns by less than
-    pi / 2, so arctan2 of successive vectors cannot skip a branch.
-    """
-    v = field.trimmed()
-    if any(v.cos_coeffs[:-1]) or any(v.sin_coeffs[:-1]):
-        return None
-    c0 = float(v.c0)
-    if v.max_mode == 0:
-        return lambda t, y: y + c0 * t
-    a, b = v.mode(v.max_mode)
-    disc = v.c0 * v.c0 - a * a - b * b  # (2/n)^2 det M
-    a, b = float(a), float(b)
-    half = v.max_mode / 2.0
-    rate = half * math.sqrt(abs(float(disc)))
-    m11, m12, m21 = -half * b, half * (a - c0), half * (a + c0)
-    turn_rate = half * (abs(c0) + math.hypot(a, b))  # bounds |dphi/dt|
-
-    def coefficients(h: float) -> tuple[float, float]:
-        if disc > 0:
-            return math.cos(rate * h), math.sin(rate * h) / rate
-        if disc < 0:
-            return 1.0, math.tanh(rate * h) / rate
-        return 1.0, h
-
-    def flow(t: float, y: np.ndarray) -> np.ndarray:
-        substeps = int(turn_rate * abs(t) / (math.pi / 2)) + 1
-        if substeps > _MAX_STEPS:
-            raise IntegrationError("step budget exhausted")
-        ux, uy = np.cos(half * y), np.sin(half * y)
-        mx, my = m11 * ux + m12 * uy, m21 * ux - m11 * uy
-        px, py = ux, uy
-        turn = np.zeros_like(y)
-        for k in range(1, substeps + 1):
-            c, s = coefficients(t * (k / substeps))
-            qx, qy = c * ux + s * mx, c * uy + s * my
-            turn += np.arctan2(px * qy - py * qx, px * qx + py * qy)
-            px, py = qx, qy
-        return y + turn / half
-
-    return flow
-
-
-def flow_states(field: TrigPoly, duration: float, y0: np.ndarray, *,
-                rtol: float = DEFAULT_RTOL) -> np.ndarray:
-    """Flow dy/ds = v(y) from 0 to duration for a batch of starts.
-
-    A single-mode field c0 + a cos n theta + b sin n theta flows in
-    closed form and ``rtol`` is not used; every other field goes
-    through adaptive Dormand-Prince with absolute tolerance
-    DEFAULT_ATOL.  Raises IntegrationError when either runs past the
-    step budget, or on Dormand-Prince step-size underflow.
-    """
-    if not math.isfinite(duration):
-        raise ValueError("duration must be finite")
-    y = np.array(y0, dtype=float)
-    if duration == 0.0:
-        return y
-    try:
-        exact = field.__dict__["_sl2_flow"]
-    except KeyError:  # built once; TrigPoly hashes by value, so not in a dict
-        exact = _sl2_flow(field)
-        object.__setattr__(field, "_sl2_flow", exact)
-    if exact is not None:
-        return exact(duration, y)
-
+def _dormand_prince(field: TrigPoly, duration: float, y: np.ndarray,
+                    rtol: float) -> np.ndarray:
+    """y(duration) by Dormand-Prince 5(4); raises IntegrationError."""
     f = _rhs(field)
     direction = 1.0 if duration > 0 else -1.0
     t = 0.0
@@ -181,6 +110,118 @@ def flow_states(field: TrigPoly, duration: float, y0: np.ndarray, *,
     return y
 
 
+def _sl2_flow(field: TrigPoly):
+    """Closed-form flow (times, y, single) -> rows y(t) of c0 + a cos n theta
+    + b sin n theta, one row per time.
+
+    Returns None when a mode below the top one is nonzero.  With
+    phi = n theta / 2, the vector u = (cos phi, sin phi) follows the
+    linear flow of M = (n/2) [[-b, a - c0], [a + c0, b]].  As M^2 =
+    -det(M) I, exp(hM) = C(h) I + S(h) M: cos/sin if det M > 0,
+    cosh/sinh if det M < 0 (divided by cosh, which keeps the direction
+    of exp(hM) u), and I + hM if det M = 0; the sign of det M is taken
+    from the exact coefficients.  The lift is the continuous angle of
+    exp(hM) u0, summed over sub-steps on which phi turns by less than
+    pi / 2, so arctan2 of successive vectors cannot skip a branch.
+    cos/sin of u0 and M u0 are computed once for all the times; C and S
+    are math scalars per time, and the times that take the same number
+    of sub-steps turn together as one (times, samples) block.  A time
+    past the step budget raises IntegrationError if it is the only one
+    (``single``) and is a NaN row otherwise.
+    """
+    v = field.trimmed()
+    if any(v.cos_coeffs[:-1]) or any(v.sin_coeffs[:-1]):
+        return None
+    c0 = float(v.c0)
+    if v.max_mode == 0:
+        return lambda times, y, single: y + c0 * np.array(times)[:, None]
+    a, b = v.mode(v.max_mode)
+    disc = v.c0 * v.c0 - a * a - b * b  # (2/n)^2 det M
+    a, b = float(a), float(b)
+    half = v.max_mode / 2.0
+    rate = half * math.sqrt(abs(float(disc)))
+    m11, m12, m21 = -half * b, half * (a - c0), half * (a + c0)
+    turn_rate = half * (abs(c0) + math.hypot(a, b))  # bounds |dphi/dt|
+
+    def coefficients(h: float) -> tuple[float, float]:
+        if disc > 0:
+            return math.cos(rate * h), math.sin(rate * h) / rate
+        if disc < 0:
+            return 1.0, math.tanh(rate * h) / rate
+        return 1.0, h
+
+    def flow(times: list, y: np.ndarray, single: bool) -> np.ndarray:
+        groups: dict[int, list[int]] = {}
+        for i, t in enumerate(times):
+            groups.setdefault(int(turn_rate * abs(t) / (math.pi / 2)) + 1, []).append(i)
+        ux, uy = np.cos(half * y), np.sin(half * y)
+        mx, my = m11 * ux + m12 * uy, m21 * ux - m11 * uy
+        rows = np.empty((len(times), y.size))
+        for substeps, index in groups.items():
+            if substeps > _MAX_STEPS:
+                if single:
+                    raise IntegrationError("step budget exhausted")
+                rows[index] = np.nan
+                continue
+            px, py, turn = ux, uy, 0.0
+            for k in range(1, substeps + 1):
+                cs = [coefficients(times[i] * (k / substeps)) for i in index]
+                # a lone time keeps C and S scalar: multiplying by a (1, 1)
+                # column costs twice as much
+                c, s = cs[0] if len(cs) == 1 else np.array(cs).T[:, :, None]
+                qx, qy = c * ux + s * mx, c * uy + s * my
+                turn = turn + np.arctan2(px * qy - py * qx, px * qx + py * qy)
+                px, py = qx, qy
+            if len(groups) == 1:  # skip the copy into rows
+                return (y + turn / half).reshape(rows.shape)
+            rows[index] = y + turn / half
+        return rows
+
+    return flow
+
+
+def flow_states(field: TrigPoly, duration, y0: np.ndarray, *,
+                rtol: float = DEFAULT_RTOL) -> np.ndarray:
+    """Flow dy/ds = v(y) from 0 to duration for a 1-d batch of starts.
+
+    ``duration`` is a number, or a 1-d array of durations from the same
+    starts; an array gives one row per duration, each bitwise equal to
+    the call with that duration alone.  A single-mode field c0 + a cos n
+    theta + b sin n theta flows in closed form and ``rtol`` is not used;
+    every other field goes through adaptive Dormand-Prince with absolute
+    tolerance DEFAULT_ATOL, one duration at a time.  Past the step
+    budget, or on Dormand-Prince step-size underflow, a number raises
+    IntegrationError and an array gives that duration a NaN row.
+    """
+    times = np.asarray(duration, dtype=float)
+    if times.ndim > 1:
+        raise ValueError("duration must be a number or a 1-d array")
+    single = times.ndim == 0
+    times = times.ravel().tolist()
+    if not all(map(math.isfinite, times)):
+        raise ValueError("duration must be finite")
+    y = np.array(y0, dtype=float)
+    try:
+        exact = field.__dict__["_sl2_flow"]
+    except KeyError:  # built once; TrigPoly hashes by value, so not in a dict
+        exact = _sl2_flow(field)
+        object.__setattr__(field, "_sl2_flow", exact)
+    if exact is not None:
+        rows = exact(times, y, single)
+    else:
+        rows = np.empty((len(times), y.size))
+        for i, t in enumerate(times):
+            try:
+                rows[i] = _dormand_prince(field, t, y, rtol)
+            except IntegrationError:
+                if single:
+                    raise
+                rows[i] = np.nan
+    if 0.0 in times:  # a zero duration returns the starts as they are
+        rows[[i for i, t in enumerate(times) if t == 0.0]] = y
+    return rows[0] if single else rows
+
+
 def apply_steps(steps: Iterable[tuple[TrigPoly, float]], lift: np.ndarray, *,
                 rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """Advance lift samples through each (field, duration) step in order.
@@ -210,9 +251,14 @@ def grid_angles(m: int) -> np.ndarray:
     return TWO_PI * np.arange(m) / m
 
 
-def is_monotone_lift(lift: np.ndarray) -> bool:
-    """Strictly increasing samples, also across the wrap to lift[0] + 2 pi."""
-    return bool(np.all(np.diff(lift) > 0) and lift[-1] < lift[0] + TWO_PI)
+def is_monotone_lift(lift: np.ndarray):
+    """Strictly increasing samples, also across the wrap to lift[0] + 2 pi.
+
+    A 2-d array is checked row by row, giving a boolean per row; a row
+    with a NaN is not monotone.
+    """
+    ok = (lift[..., 1:] > lift[..., :-1]).all(-1) & (lift[..., -1] < lift[..., 0] + TWO_PI)
+    return ok if ok.ndim else bool(ok)
 
 
 def _displacement_spectrum(lift: np.ndarray) -> np.ndarray:

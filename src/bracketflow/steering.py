@@ -6,7 +6,8 @@ decomposes the logarithm profile of (what remains of) the target into
 Fourier modes and realizes each mode either as a direct flow step or as
 commutator motion primitives taken from a bracket-closure certificate.
 Phase 2 polishes greedily with single family steps over a geometric
-duration grid.  The returned word is a checkable certificate: replaying
+duration grid; each field flows all its candidate durations in one
+batched ``flow_states`` call.  The returned word is a checkable certificate: replaying
 it reproduces the reported error bit for bit.
 """
 from __future__ import annotations
@@ -20,9 +21,8 @@ import numpy as np
 
 from .closure import (ClosureReport, FieldFamily, GeneratedField, closure,
                       solve_combination, _basis_vector)
-from .flows import (TWO_PI, CircleDiffeo, FlowWord, IntegrationError, apply_steps,
-                    apply_word, eval_lift, flow_states, grid_angles, invert_lift,
-                    is_monotone_lift)
+from .flows import (TWO_PI, CircleDiffeo, FlowWord, apply_steps, apply_word, eval_lift,
+                    flow_states, grid_angles, invert_lift, is_monotone_lift)
 from .trig_fields import TrigPoly
 
 
@@ -50,16 +50,20 @@ def default_family() -> FieldFamily:
 # ---------------------------------------------------------------------------
 # metric
 
-def _sup_shift_distance(lift_a: np.ndarray, lift_b: np.ndarray) -> float:
+def _sup_shift_distance(lift_a: np.ndarray, lift_b: np.ndarray):
+    """Sup distance of lift_a to lift_b, minimized over 2-pi shifts.
+
+    A 2-d lift_a gives one distance per row, each bitwise equal to the
+    distance of that row alone; a 1-d lift_a gives a float.
+    """
     # rounding is monotone, so max_i |fl(delta_i - c)| is attained at
     # the largest or the smallest delta_i
     delta = lift_a - lift_b
-    hi, lo = float(delta.max()), float(delta.min())
-    k0 = round(0.5 * (hi + lo) / TWO_PI)
-    return min(
-        max(abs(hi - TWO_PI * k), abs(lo - TWO_PI * k))
-        for k in (k0 - 1, k0, k0 + 1)
-    )
+    hi, lo = delta.max(axis=-1), delta.min(axis=-1)
+    k0 = np.rint(0.5 * (hi + lo) / TWO_PI)
+    dist = np.minimum.reduce([np.maximum(np.abs(hi - TWO_PI * k), np.abs(lo - TWO_PI * k))
+                              for k in (k0 - 1, k0, k0 + 1)])
+    return dist if dist.ndim else float(dist)
 
 
 def diffeo_distance(phi: CircleDiffeo, psi: CircleDiffeo) -> float:
@@ -226,6 +230,28 @@ class SteeringResult:
 # ---------------------------------------------------------------------------
 # planner
 
+def _greedy_step(fields: Sequence[TrigPoly], durations: Sequence[float],
+                 current: np.ndarray, target_lift: np.ndarray, cur_dist: float):
+    """The single family step from current that comes closest to the target.
+
+    Each field flows current by every duration, positive then negative,
+    in one ``flow_states`` call; rows that fail or break monotonicity are
+    skipped.  Returns (dist, field, signed duration, state) for the first
+    minimum in (field, sign, duration) order, or None when no candidate
+    is strictly closer than cur_dist.
+    """
+    signed = np.concatenate([durations, np.negative(durations)])
+    best = None
+    for f in fields:
+        states = flow_states(f, signed, current)
+        dists = np.where(is_monotone_lift(states),
+                         _sup_shift_distance(states, target_lift), np.inf)
+        i = int(np.argmin(dists))  # the first of equal minima
+        if dists[i] < (cur_dist if best is None else best[0]):
+            best = (float(dists[i]), f, float(signed[i]), states[i].copy())
+    return best
+
+
 def steer(problem: SteeringProblem) -> SteeringResult:
     """Plan a flow word from the identity to within epsilon of the target."""
     target = problem.target
@@ -316,19 +342,7 @@ def steer(problem: SteeringProblem) -> SteeringResult:
         durations = [problem.epsilon]
 
     while cur_dist > problem.epsilon and len(steps) < problem.budget:
-        best = None  # (dist, field, signed duration, state); ties keep the first
-        for f in family.fields:
-            for sign in (1.0, -1.0):
-                for t in durations:
-                    try:
-                        state = flow_states(f, sign * t, current)
-                    except IntegrationError:
-                        continue
-                    if not is_monotone_lift(state):
-                        continue
-                    dist = _sup_shift_distance(state, target_lift)
-                    if dist < cur_dist and (best is None or dist < best[0]):
-                        best = (dist, f, sign * t, state)
+        best = _greedy_step(family.fields, durations, current, target_lift, cur_dist)
         if best is None:
             break
         cur_dist, f, t, current = best

@@ -7,7 +7,8 @@ import pytest
 
 from bracketflow.flows import (CircleDiffeo, FlowWord, IntegrationError, _eval_spectrum,
                                apply_word, commutator_flow_residual, commutator_word,
-                               eval_lift, flow_states, grid_angles, integrate_flow)
+                               eval_lift, flow_states, grid_angles, integrate_flow,
+                               is_monotone_lift)
 from bracketflow.trig_fields import TrigPoly, bracket, evaluate
 
 SIN1, COS1 = TrigPoly.sine(1), TrigPoly.cosine(1)
@@ -274,6 +275,91 @@ def test_sl2_group_law():
         chained = flow_states(field, t, flow_states(field, s, y0))
         worst = max(worst, float(np.max(np.abs(direct - chained))))
     assert worst < 1e-12
+
+
+# ---- one call over many durations ----
+
+def assert_rows_are_scalar_calls(field, durations, y0):
+    rows = flow_states(field, np.array(durations), y0)
+    assert rows.shape == (len(durations), y0.size)
+    for t, row in zip(durations, rows):
+        assert np.array_equal(row, flow_states(field, t, y0))
+
+
+def seeded_lift(rng, m=256):
+    """A monotone lift away from the identity: a short word of sl(2) steps."""
+    word = FlowWord.of([(TrigPoly.cosine(int(rng.integers(1, 3))), rng.uniform(-0.4, 0.4)),
+                        (TrigPoly.sine(int(rng.integers(1, 3))), rng.uniform(-0.4, 0.4))])
+    return apply_word(word, CircleDiffeo.identity(m)).lift
+
+
+def test_rotation_rows_are_scalar_calls():
+    y0 = seeded_lift(np.random.default_rng(21), 64)
+    for c0 in ("1", "-3/4", "0"):
+        assert_rows_are_scalar_calls(TrigPoly.constant(Fraction(c0)),
+                                     [0.3, -1.7, 0.0, 12.5], y0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sl2_rows_are_scalar_calls(n):
+    # elliptic (c0^2 > a^2 + b^2), hyperbolic (<) and parabolic (=); the
+    # durations take from 1 to about 10 sub-steps, and 0 returns the starts
+    rng = np.random.default_rng(n)
+    y0 = seeded_lift(rng, 65)  # an odd grid, so no SIMD lane lines up with a row
+    durations = [0.3, -0.3, 2.5e-3, 1.28, -2.0, 0.0, 5.0, -7.5, 1e-9]
+    for c0, a, b in (("3/2", 1, "-1/2"), ("1/4", 1, "1/2"), (1, "3/5", "4/5")):
+        field = (TrigPoly.constant(Fraction(c0)) + TrigPoly.cosine(n, Fraction(a))
+                 + TrigPoly.sine(n, Fraction(b)))
+        assert_rows_are_scalar_calls(field, durations, y0)
+
+
+def test_dormand_prince_rows_are_scalar_calls():
+    field = TrigPoly.from_coeffs(0, [1, 0], [0, "1/2"])
+    assert_rows_are_scalar_calls(field, [0.01, -0.3, 1.0, 0.0],
+                                 seeded_lift(np.random.default_rng(4)))
+
+
+@pytest.mark.parametrize("epsilon", [1e-2, 1e-3])
+def test_greedy_grid_rows_are_scalar_calls(epsilon):
+    # the greedy phase's grid (epsilon / 4) 2^k up to 2, both signs; a unit
+    # mode-n field turns phi at rate n / 2, so the longest durations of the
+    # mode-4 fields take two sub-steps
+    grid = [epsilon / 4 * 2 ** k for k in range(20) if epsilon / 4 * 2 ** k <= 2.0]
+    durations = grid + [-t for t in grid]
+    y0 = seeded_lift(np.random.default_rng(13))
+    substeps = set()
+    for n in (1, 2, 3, 4):
+        for field in (TrigPoly.cosine(n), TrigPoly.sine(n)):
+            assert_rows_are_scalar_calls(field, durations, y0)
+        substeps |= {int(n / 2 * abs(t) / (math.pi / 2)) + 1 for t in durations}
+    assert substeps == {1, 2}
+
+
+def test_a_failed_duration_is_a_nan_row():
+    y0 = seeded_lift(np.random.default_rng(5))
+    rows = flow_states(SIN1, np.array([0.3, 1e7, -0.2]), y0)
+    assert np.isnan(rows[1]).all()
+    assert np.array_equal(rows[0], flow_states(SIN1, 0.3, y0))
+    assert np.array_equal(rows[2], flow_states(SIN1, -0.2, y0))
+    with pytest.raises(IntegrationError, match="budget"):
+        flow_states(SIN1, 1e7, y0)
+    with pytest.raises(ValueError):
+        flow_states(SIN1, np.array([0.3, math.nan]), y0)
+
+
+def test_monotonicity_checks_each_row():
+    y0 = seeded_lift(np.random.default_rng(6), 32)
+    swapped = y0.copy()
+    swapped[[3, 4]] = swapped[[4, 3]]
+    wrapped = y0.copy()
+    wrapped[-1] = wrapped[0] + 2 * math.pi
+    with_nan = y0.copy()
+    with_nan[7] = math.nan
+    lifts = np.array([y0, swapped, wrapped, with_nan, y0 + 5.0])
+    per_row = [is_monotone_lift(row) for row in lifts]
+    assert per_row == [True, False, False, False, True]
+    assert is_monotone_lift(lifts).tolist() == per_row
+    assert type(is_monotone_lift(y0)) is bool
 
 
 # ---- commutator loops ----

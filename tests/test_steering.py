@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from bracketflow import steering
 from bracketflow.closure import FieldFamily
-from bracketflow.flows import (TWO_PI, CircleDiffeo, FlowWord, apply_word, eval_lift,
-                               integrate_flow, invert_lift, is_monotone_lift)
-from bracketflow.steering import (NotBracketGenerating, SteeringProblem, _sqrt_lift,
-                                  _sup_shift_distance, diffeo_distance, flow_logarithm,
-                                  steer)
+from bracketflow.flows import (TWO_PI, CircleDiffeo, FlowWord, IntegrationError, apply_word,
+                               eval_lift, flow_states, integrate_flow, invert_lift,
+                               is_monotone_lift)
+from bracketflow.steering import (NotBracketGenerating, SteeringProblem, _greedy_step,
+                                  _sqrt_lift, _sup_shift_distance, default_family,
+                                  diffeo_distance, flow_logarithm, steer)
 from bracketflow.trig_fields import TrigPoly
 
 SIN1 = TrigPoly.sine(1)
@@ -59,6 +61,22 @@ def test_distance_from_extremes_matches_three_array_passes():
         shift = TWO_PI * int(rng.integers(-3, 4)) + rng.choice([0.0, 0.5 * TWO_PI, 1.0])
         lift_b = lift_a + shift + rng.normal(scale=10.0 ** rng.uniform(-16, 0), size=m)
         assert _sup_shift_distance(lift_a, lift_b) == three_pass_distance(lift_a, lift_b)
+
+
+def test_distance_of_each_row_is_the_distance_of_that_row():
+    rng = np.random.default_rng(18)
+    for _ in range(200):
+        m = int(rng.integers(2, 300))
+        lift_b = np.sort(rng.uniform(-10.0, 10.0, m))
+        shifts = TWO_PI * rng.integers(-3, 4, size=(6, 1)) + rng.choice([0.0, 0.5 * TWO_PI, 1.0],
+                                                                         size=(6, 1))
+        rows = lift_b + shifts + rng.normal(scale=10.0 ** rng.uniform(-16, 0), size=(6, m))
+        dists = _sup_shift_distance(rows, lift_b)
+        assert dists.shape == (6,)
+        for row, dist in zip(rows, dists):
+            alone = _sup_shift_distance(row, lift_b)
+            assert type(alone) is float
+            assert dist == alone == three_pass_distance(row, lift_b)
 
 
 def test_distance_grid_mismatch():
@@ -186,6 +204,108 @@ def test_greedy_on_a_dormand_prince_family():
     # the last step is a greedy one: a duration on the grid (epsilon / 4) 2^k
     _, t_last = res.word.steps[-1]
     assert abs(t_last) in {2.5e-3 * 2 ** k for k in range(10)}
+
+
+def greedy_reference(fields, durations, current, target_lift, cur_dist):
+    """One flow_states call per (field, sign, duration) candidate."""
+    best = None
+    for f in fields:
+        for sign in (1.0, -1.0):
+            for t in durations:
+                try:
+                    state = flow_states(f, sign * t, current)
+                except IntegrationError:
+                    continue
+                if not is_monotone_lift(state):
+                    continue
+                dist = _sup_shift_distance(state, target_lift)
+                if dist < cur_dist and (best is None or dist < best[0]):
+                    best = (dist, f, sign * t, state)
+    return best
+
+
+def greedy_grid(epsilon):
+    return [epsilon / 4 * 2 ** k for k in range(20) if epsilon / 4 * 2 ** k <= 2.0]
+
+
+def seeded_pair(rng, fields):
+    """A start lift and a target a few family steps away from it."""
+    def word(steps):
+        return FlowWord.of([(fields[int(rng.integers(len(fields)))], rng.uniform(-0.5, 0.5))
+                            for _ in range(steps)])
+    start = apply_word(word(3), IDENT)
+    return start.lift, apply_word(word(2), start).lift
+
+
+def assert_same_step(got, expected):
+    if expected is None:
+        assert got is None
+        return
+    dist, f, t, state = got
+    assert dist == expected[0] and t == expected[2]
+    assert f is expected[1]
+    assert np.array_equal(state, expected[3])
+
+
+DP_FAMILY = (TrigPoly.from_coeffs(0, [1, 0], [0, "1/2"]), SIN1, TrigPoly.cosine(2),
+             TrigPoly.sine(2))
+
+
+@pytest.mark.parametrize("fields,epsilon,seed,cases", [
+    (default_family().fields, 1e-2, 31, 8),
+    (default_family().fields, 1e-3, 32, 4),
+    (DP_FAMILY, 1e-2, 33, 2),
+])
+def test_batched_greedy_step_matches_the_per_candidate_loop(fields, epsilon, seed, cases):
+    rng = np.random.default_rng(seed)
+    durations = greedy_grid(epsilon)
+    found = 0
+    for _ in range(cases):
+        current, target_lift = seeded_pair(rng, fields)
+        cur_dist = _sup_shift_distance(current, target_lift)
+        for bar in (cur_dist, 0.5 * cur_dist, 0.0):  # 0 admits no candidate
+            expected = greedy_reference(fields, durations, current, target_lift, bar)
+            assert_same_step(_greedy_step(fields, durations, current, target_lift, bar),
+                             expected)
+            found += expected is not None
+    assert found >= cases  # every start has a step that gets closer
+
+
+def test_greedy_tie_goes_to_the_first_candidate():
+    # the last field equals the first, so every candidate of the first has
+    # a bitwise twin; the target is one grid step of it away
+    cos1 = TrigPoly.cosine(1)
+    fields = (cos1, SIN1, TrigPoly.cosine(2), TrigPoly.cosine(1))
+    durations = greedy_grid(1e-2)
+    current = apply_word(FlowWord.of([(SIN1, 0.3)]), IDENT).lift
+    target_lift = flow_states(cos1, durations[4], current)
+    got = _greedy_step(fields, durations, current, target_lift, math.inf)
+    assert_same_step(got, greedy_reference(fields, durations, current, target_lift, math.inf))
+    assert got[0] == 0.0 and got[1] is fields[0] and got[2] == durations[4]
+
+
+def test_greedy_tie_within_a_field_goes_to_the_first_duration(monkeypatch):
+    # every row the same state: all candidates tie, so +durations[0] wins
+    fields = default_family().fields
+    current, target_lift = seeded_pair(np.random.default_rng(3), fields)
+    monkeypatch.setattr(steering, "flow_states",
+                        lambda f, d, y0: np.repeat(target_lift[None] + 0.1, len(d), axis=0))
+    durations = greedy_grid(1e-2)
+    got = _greedy_step(fields, durations, current, target_lift, math.inf)
+    assert got[1] is fields[0] and got[2] == durations[0]
+
+
+def test_greedy_step_flows_once_per_field(monkeypatch):
+    calls = []
+
+    def counted(field, duration, y0, **kw):
+        calls.append(np.shape(duration))
+        return flow_states(field, duration, y0, **kw)
+
+    monkeypatch.setattr(steering, "flow_states", counted)
+    current, target_lift = seeded_pair(np.random.default_rng(2), default_family().fields)
+    _greedy_step(default_family().fields, greedy_grid(1e-2), current, target_lift, math.inf)
+    assert calls == [(20,)] * 4
 
 
 def test_orbit_invariance_under_composition():
