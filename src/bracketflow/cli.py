@@ -7,8 +7,11 @@ invalid seeds, contract violations, malformed point CSV) and on usage
 errors, 1 on I/O or parse errors.  Runs are deterministic: the same
 arguments and inputs give byte-identical output.  JSON artifacts are the
 bytes of ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline,
-with every scalar written by the C encoder.  The argument parser is built
-once per process.
+with every scalar written by the C encoder.  They are streamed to the
+output file a dict key or a float-matrix row at a time, so an artifact is
+never one string in memory, and a float matrix (Mackey's gauges) is
+written from its float64 array.  The argument parser is built once per
+process.
 
 Every subcommand takes ``--input`` (required) and ``--output``.  Beyond
 those, each accepts only the flags it reads; any other flag is a usage
@@ -22,7 +25,8 @@ A setting is its flag, else the input's JSON field of the same name, else
 the library default: ``grid`` and ``tol`` from ``flows.DEFAULT_GRID`` and
 ``flows.DEFAULT_RTOL``; ``epsilon``, ``budget`` and ``primitive_depth``
 from the ``SteeringProblem`` fields; closure's ``cap`` and ``depth`` in
-``_cmd_closure``.
+``_cmd_closure``.  A JSON ``true``/``false`` for any setting, or a
+fractional number for an integer one, is a domain error.
 """
 from __future__ import annotations
 
@@ -55,17 +59,56 @@ def _write_text(path: Optional[str], text: str):
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _dump_json(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+def _write_json(path: Optional[str], obj):
+    """Write ``_dump_json(obj)`` to ``path`` piece by piece, so the whole
+    artifact is never one string; nothing without a path."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(_pieces(obj, ""))
+            fh.write("\n")
 
-    With an indent, ``json`` runs its pure-Python encoder.  Here only the
-    nesting is written in Python: a list of scalars is one C-encoder call,
-    and a float matrix one call for its distinct values.
+
+def _dump_json(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte:
+    the pieces that ``_write_json`` writes, joined.
+
+    A numpy array reached from ``obj`` through dict values alone is written
+    as its ``tolist()``.  With an indent, ``json`` runs its pure-Python
+    encoder.  Here only the nesting is written in Python: a list of scalars
+    is one C-encoder call, and a float matrix one call for its distinct
+    values.
     """
-    return _encode(obj, "") + "\n"
+    return "".join(_pieces(obj, "")) + "\n"
+
+
+def _pieces(obj, pad: str):
+    """The text of ``obj`` at nesting ``pad``, in pieces: a dict with string
+    keys goes key by key and a float matrix row by row; any other value is
+    one piece, from ``_encode``."""
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
+        for n, key in enumerate(sorted(obj)):
+            yield f"{',' if n else '{'}\n{inner}{json.dumps(key)}: "
+            yield from _pieces(obj[key], inner)
+        yield f"\n{pad}}}"
+        return
+    matrix = _float_matrix(obj)
+    if matrix is None:
+        yield _encode(obj.tolist() if isinstance(obj, np.ndarray) else obj, pad)
+        return
+    # each distinct float (by bit pattern, so -0.0 and 0.0 differ) is formatted once
+    distinct, index = np.unique(matrix.view(np.int64).ravel(), return_inverse=True)
+    text = np.array(json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", "),
+                    dtype=object)
+    for n, row in enumerate(index.reshape(matrix.shape)):
+        yield f"{',' if n else '['}\n{inner}" + _block(text[row].tolist(), inner)
+    yield f"\n{pad}]"
 
 
 def _encode(obj, pad: str) -> str:
+    """The text of a value in one string.  A dict nested in a list is built
+    here rather than from ``_pieces``, which would cost a generator per value
+    on the many small dicts of a steering word."""
     inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -78,7 +121,10 @@ def _encode(obj, pad: str) -> str:
         if not obj:
             return "[]"
         if any(isinstance(v, (list, tuple, dict)) for v in obj):
-            return _block(_float_rows(obj, inner) or [_encode(v, inner) for v in obj], pad)
+            matrix = _float_matrix(obj)
+            if matrix is not None:
+                return "".join(_pieces(matrix, pad))
+            return _block([_encode(v, inner) for v in obj], pad)
         return _block([json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]], pad)
     return json.dumps(obj)
 
@@ -89,19 +135,18 @@ def _block(items, pad: str, brackets: str = "[]") -> str:
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
-def _float_rows(rows, pad: str):
-    """Encoded rows of a rectangular list of Python-float rows, each distinct
-    float (by bit pattern, so -0.0 and 0.0 differ) formatted once; None for
-    any other list."""
-    width = len(rows[0]) if isinstance(rows[0], (list, tuple)) else 0
-    if not width or not all(isinstance(row, (list, tuple)) and len(row) == width
-                            and set(map(type, row)) == {float} for row in rows):
+def _float_matrix(obj) -> Optional[np.ndarray]:
+    """``obj`` as a float64 array with two axes and at least one cell, when
+    it is one or is a rectangular list of Python-float rows; else None."""
+    if isinstance(obj, np.ndarray):
+        return obj if obj.dtype == np.float64 and obj.ndim == 2 and obj.size else None
+    if not isinstance(obj, (list, tuple)) or not obj:
         return None
-    bits = np.array(rows, dtype=np.float64).view(np.int64).ravel()
-    distinct, index = np.unique(bits, return_inverse=True)
-    text = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
-    cells = np.array(text, dtype=object)[index].reshape(len(rows), width)
-    return [_block(row, pad) for row in cells.tolist()]
+    width = len(obj[0]) if isinstance(obj[0], (list, tuple)) else 0
+    if not width or not all(isinstance(row, (list, tuple)) and len(row) == width
+                            and set(map(type, row)) == {float} for row in obj):
+        return None
+    return np.array(obj, dtype=np.float64)
 
 
 def _load_points(spec) -> np.ndarray:
@@ -148,11 +193,24 @@ def _load_diffeo(spec, grid: int) -> CircleDiffeo:
 
 def _setting(args: argparse.Namespace, data: dict, name: str, default):
     """The flag ``--name`` if given, else the input's ``name`` field, else
-    ``default``, as the type of ``default``."""
+    ``default``, as the type of ``default``.
+
+    A bool, a fractional number for an int setting (``400.0`` reads as
+    400) and an integer too large for a float setting raise ``ValueError``
+    rather than being coerced.
+    """
     value = getattr(args, name, None)
     if value is None:
         value = data.get(name, default)
-    return type(default)(value)
+    kind = type(default)
+    lossy = isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                        and not value.is_integer())
+    if not lossy:
+        try:
+            return kind(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"setting {name!r} must be {kind.__name__}, not {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +220,7 @@ def _cmd_bracket(args: argparse.Namespace, data: dict) -> str:
     v = TrigPoly.from_json_dict(data["v"])
     w = TrigPoly.from_json_dict(data["w"])
     result = bracket(v, w)
-    _write_text(args.output, _dump_json({"bracket": result.to_json_dict()}))
+    _write_json(args.output, {"bracket": result.to_json_dict()})
     return f"bracket: [{v.pretty()}, {w.pretty()}] = {result.pretty()}"
 
 
@@ -171,7 +229,7 @@ def _cmd_closure(args: argparse.Namespace, data: dict) -> str:
     cap = _setting(args, data, "cap", 8)
     depth = _setting(args, data, "depth", 8)
     report = closure(family, max_depth=depth, max_mode_cap=cap)
-    _write_text(args.output, _dump_json(report.to_json_dict()))
+    _write_json(args.output, report.to_json_dict())
     return (f"closure: rank {report.rank}, depth {report.depth_used}, "
             f"spanning(N={cap}) = {report.spanning} "
             f"[truncation surrogate, not a density proof]")
@@ -196,8 +254,7 @@ def _cmd_residual(args: argparse.Namespace, data: dict) -> str:
     rtol = _setting(args, data, "tol", DEFAULT_RTOL)
     res = commutator_flow_residual(x, y, theta, t, rtol=rtol)
     bval = evaluate(bracket(x, y), theta)
-    _write_text(args.output, _dump_json(
-        {"residual": res, "bracket_value": bval, "theta": theta, "t": t}))
+    _write_json(args.output, {"residual": res, "bracket_value": bval, "theta": theta, "t": t})
     return f"residual: {res:.9g} vs bracket {bval:.9g} at theta={theta}, t={t}"
 
 
@@ -212,7 +269,7 @@ def _cmd_steer(args: argparse.Namespace, data: dict) -> str:
         primitive_depth=_setting(args, data, "primitive_depth", SteeringProblem.primitive_depth),
     )
     result = steer(problem)
-    _write_text(args.output, _dump_json(result.to_json_dict()))
+    _write_json(args.output, result.to_json_dict())
     if args.trajectory:
         lines = ["step,distance"]
         lines.extend(f"{i + 1},{d!r}" for i, d in enumerate(result.trace))
@@ -225,7 +282,7 @@ def _cmd_minkowski(args: argparse.Namespace, data: dict) -> str:
     body = ConvexBody.from_json_dict(data["body"])
     x = np.array(data["x"], dtype=float)
     value = minkowski(body, x)
-    _write_text(args.output, _dump_json({"value": value}))
+    _write_json(args.output, {"value": value})
     return f"minkowski: gauge({x.tolist()}) = {value:.9g}"
 
 
@@ -236,7 +293,7 @@ def _cmd_separate(args: argparse.Namespace, data: dict) -> str:
     else:
         b = _load_points(data["B"]["points"])
     cert = separate(a, b)
-    _write_text(args.output, _dump_json(cert.to_json_dict()))
+    _write_json(args.output, cert.to_json_dict())
     return f"separate: alpha {cert.alpha:.9g} < beta {cert.beta:.9g}"
 
 
@@ -246,7 +303,7 @@ def _cmd_cone(args: argparse.Namespace, data: dict) -> str:
     x0 = np.array(data["x0"], dtype=float)
     body = symmetrize(ConvexBody.from_json_dict(data["D"]))
     result = cone_extremal_point(b_points, a1, x0, body)
-    _write_text(args.output, _dump_json(result.to_json_dict()))
+    _write_json(args.output, result.to_json_dict())
     return (f"cone: vertex {result.vertex.tolist()} after {len(result.iterates)} iterate(s), "
             f"isolated={result.isolates(b_points)}")
 
@@ -255,7 +312,9 @@ def _cmd_mackey(args: argparse.Namespace, data: dict) -> str:
     prefix = _load_points(data["prefix"])
     body = ConvexBody.from_json_dict(data["M"])
     report = mackey_cauchy_diagnostic(prefix, body)
-    _write_text(args.output, _dump_json(report.to_json_dict()))
+    # the report's fields are its JSON keys; mu and tail_max go to the
+    # writer as arrays, never as lists of Python floats
+    _write_json(args.output, vars(report))
     return f"mackey: is_cauchy_prefix={report.is_cauchy_prefix}, rate={report.rate}"
 
 

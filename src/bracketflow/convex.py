@@ -547,14 +547,17 @@ def mackey_cauchy_diagnostic(prefix, m_body: ConvexBody) -> MackeyReport:
     if pts.shape[1] != m_body.dim:
         raise ValueError("dimension mismatch")
     k = pts.shape[0]
-    i, j = np.triu_indices(k, 1)
-    # stacked matrix-vector products give the same floats as minkowski pair
-    # by pair; the gemm form (pts[i] - pts[j]) @ N.T rounds differently
-    top = np.matmul(m_body.normals, (pts[i] - pts[j])[:, :, None])[:, :, 0].max(axis=1)
     mu = np.zeros((k, k))
-    mu[i, j] = mu[j, i] = np.where(top > 0.0, top, 0.0)  # max(0.0, .), never -0.0
+    row_max = np.zeros(k)  # max over j > i of mu_ij
+    # Row by row, so the temporaries scale with k, not with the k^2/2 pairs.
+    # Stacked matrix-vector products give the same floats as minkowski pair
+    # by pair; the gemm form (pts[i] - pts[i+1:]) @ N.T rounds differently.
+    for i in range(k - 1):
+        top = np.matmul(m_body.normals, (pts[i] - pts[i + 1:])[:, :, None])[:, :, 0].max(axis=1)
+        mu[i, i + 1:] = mu[i + 1:, i] = np.where(top > 0.0, top, 0.0)  # max(0.0, .), never -0.0
+        row_max[i] = mu[i, i + 1:].max()
     # T[k] = max over k <= i < j of mu_ij: reverse running max of row maxima
-    tail = np.maximum.accumulate(np.triu(mu).max(axis=1, initial=0.0)[::-1])[::-1]
+    tail = np.maximum.accumulate(row_max[::-1])[::-1]
     ok = True
     for kk in range(k - 1):
         if tail[kk] == 0.0:

@@ -4,12 +4,14 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bracketflow.cli import COMMANDS, _dump_json, _load_points, _parser, main
+from bracketflow.cli import COMMANDS, _dump_json, _load_points, _parser, _write_json, main
+from bracketflow.convex import ConvexBody, mackey_cauchy_diagnostic
 from bracketflow.flows import CircleDiffeo
 from bracketflow.trig_fields import TrigPoly
 
@@ -50,12 +52,13 @@ def test_closure_command_reports_spanning(tmp_path):
 
 
 def test_flow_command_zero_field_is_identity(tmp_path):
-    inp = write(tmp_path, "flow.json",
-                {"field": TrigPoly.zero().to_json_dict(), "t": 2.0, "grid": 32})
-    out = tmp_path / "flow.csv"
-    assert main(["flow", "--input", inp, "--output", str(out)]) == 0
-    diffeo = CircleDiffeo.from_csv(out.read_text())
-    assert np.allclose(diffeo.lift, CircleDiffeo.identity(32).lift)
+    for grid in (32, 32.0):  # an integral float reads as an int setting
+        inp = write(tmp_path, "flow.json",
+                    {"field": TrigPoly.zero().to_json_dict(), "t": 2.0, "grid": grid})
+        out = tmp_path / "flow.csv"
+        assert main(["flow", "--input", inp, "--output", str(out)]) == 0
+        diffeo = CircleDiffeo.from_csv(out.read_text())
+        assert np.allclose(diffeo.lift, CircleDiffeo.identity(32).lift)
 
 
 def test_residual_command(tmp_path):
@@ -104,10 +107,12 @@ def test_minkowski_separate_cone_mackey_commands(tmp_path):
     cone = json.loads(out.read_text())
     assert cone["vertex"] == pytest.approx([0.0, 0.5])
 
-    inp = write(tmp_path, "mackey.json",
-                {"prefix": [[2.0 ** -k, 0.0] for k in range(6)], "M": box})
+    prefix = [[2.0 ** -k, 0.0] for k in range(6)]
+    inp = write(tmp_path, "mackey.json", {"prefix": prefix, "M": box})
     out = tmp_path / "mackey.out"
     assert main(["mackey", "--input", inp, "--output", str(out)]) == 0
+    report = mackey_cauchy_diagnostic(np.array(prefix), ConvexBody.from_json_dict(box))
+    assert out.read_text(encoding="utf-8") == reference_dump(report.to_json_dict())
     assert json.loads(out.read_text())["is_cauchy_prefix"] is True
 
 
@@ -136,6 +141,27 @@ def test_domain_errors_exit_two(tmp_path, capsys):
                 {"target": {"kind": "word", "steps": [{"label": "cos1", "t": 0.4}]}})
     assert main(["steer", "--input", inp]) == 2
     assert "word step needs an inline field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, setting, value", [
+    ("steer", "budget", 2.7),
+    ("steer", "budget", True),
+    ("steer", "epsilon", True),
+    ("flow", "grid", 64.9),
+    ("flow", "tol", True),
+    ("flow", "tol", 10 ** 400),  # float() would overflow
+    ("closure", "cap", False),
+])
+def test_settings_reject_bools_and_fractional_integers(tmp_path, capsys, command, setting,
+                                                      value):
+    inputs = {"steer": {"target": {"kind": "rotation", "angle": 0.3}},
+              "flow": {"field": TrigPoly.zero().to_json_dict(), "t": 2.0},
+              "closure": family_json()}
+    inp = write(tmp_path, "in.json", {**inputs[command], setting: value})
+    out = tmp_path / "out"
+    assert main([command, "--input", inp, "--output", str(out)]) == 2
+    assert f"ValueError: setting {setting!r} must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_io_errors_exit_one(tmp_path):
@@ -307,15 +333,52 @@ def test_writer_matches_indented_json(obj):
     assert _dump_json(obj) == reference_dump(obj)
 
 
-def test_writer_matches_indented_json_on_a_gauge_matrix():
+def test_writer_matches_indented_json_on_a_gauge_matrix(tmp_path):
+    """Float64 arrays, as lists or handed to the writer directly, give
+    json's bytes for their lists, and the streamed file is ``_dump_json``."""
     rng = np.random.default_rng(9)
     mu = rng.standard_normal((400, 400))
     mu = mu + mu.T
     np.fill_diagonal(mu, 0.0)
     mu[rng.random(mu.shape) < 0.01] = -0.0
-    report = {"is_cauchy_prefix": False, "mu": mu.tolist(),
-              "tail_max": np.abs(mu).max(axis=1).tolist(), "rate": None}
-    assert _dump_json(report).encode() == reference_dump(report).encode()
+    special = np.array([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1, -1e300])
+    arrays = [mu, np.array([[0.25]]), special, special.reshape(2, 4), special.reshape(8, 1),
+              np.zeros(0), np.zeros((0, 3)), np.zeros((3, 0))]
+    path = tmp_path / "artifact.json"
+    for array in arrays:
+        tail = np.abs(array).max(axis=-1) if array.size else array.reshape(-1)
+        as_lists = {"is_cauchy_prefix": False, "mu": array.tolist(),
+                    "tail_max": tail.tolist(), "rate": None}
+        as_arrays = {**as_lists, "mu": array, "tail_max": tail}
+        expected = reference_dump(as_lists).encode()
+        assert _dump_json(array) == reference_dump(array.tolist())
+        for obj in (as_lists, as_arrays):
+            assert _dump_json(obj).encode() == expected
+            _write_json(str(path), obj)
+            assert path.read_bytes() == expected
+
+
+def test_mackey_command_peak_memory_scales_with_the_gauge_matrix(tmp_path):
+    """400 points give a 1.25 MiB gauge matrix and a 4 MiB artifact; one
+    temporary over all 79 800 pairs, or the artifact built as one string,
+    takes the traced peak above 20 MiB."""
+    rng = np.random.default_rng(17)
+    h = rng.normal(size=(6, 3))
+    h /= np.linalg.norm(h, axis=1)[:, None]
+    h = np.vstack([np.eye(3), h * rng.uniform(0.5, 1.5, size=(6, 1))])
+    body = {"dim": 3, "halfspaces": np.vstack([h, -h]).tolist()}  # 18 normals, symmetric
+    u = rng.normal(size=3)
+    prefix = [(0.95 ** k * u).tolist() for k in range(400)]
+    inp = write(tmp_path, "mackey.json", {"prefix": prefix, "M": body})
+    argv = ["mackey", "--input", inp, "--output", str(tmp_path / "mackey.out")]
+    assert main(argv) == 0  # imports scipy, outside the trace
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------

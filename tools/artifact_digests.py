@@ -29,14 +29,20 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+def parser(description: str) -> argparse.ArgumentParser:
+    """The options shared with ``tools/op_rss.py``."""
+    p = argparse.ArgumentParser(description=description)
     p.add_argument("--workload", nargs="+", default=["algebra", "steer", "convex"],
                    choices=("algebra", "steer", "convex"))
     p.add_argument("--seed", nargs="+", type=int, required=True)
     p.add_argument("--src", default=str(ROOT / "src"), help="bracketflow sources to run")
-    args = p.parse_args(argv)
+    return p
 
+
+def run_operations(args):
+    """Yield ``(seed, operation, exit code, harness)`` for each benchmark
+    operation, run once, in order, in this process, as a benchmark pass runs
+    it; an operation that raises has the exit code ``raised``."""
     sys.path[:0] = [str(BENCH)]
     from run import THREAD_VARS  # the benchmark's thread caps, set before numpy loads
     for var in THREAD_VARS:
@@ -45,7 +51,7 @@ def main(argv=None) -> int:
     import harness  # imports bracketflow from --src
     import workloads
 
-    with tempfile.TemporaryDirectory(prefix="artifact-digests-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="bench-ops-") as tmp:
         for workload in args.workload:
             for seed in args.seed:
                 workdir = Path(tmp) / f"{workload}-{seed}"
@@ -54,7 +60,13 @@ def main(argv=None) -> int:
                         code = harness._invoke(op)
                     if not isinstance(code, int):  # the traceback of a raised operation
                         code = "raised"
-                    print(seed, op.name, code, harness._digest(op), flush=True)
+                    yield seed, op, code, harness
+
+
+def main(argv=None) -> int:
+    args = parser(__doc__.split("\n")[0]).parse_args(argv)
+    for seed, op, code, harness in run_operations(args):
+        print(seed, op.name, code, harness._digest(op), flush=True)
     return 0
 
 
