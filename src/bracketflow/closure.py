@@ -381,10 +381,14 @@ def closure(family: FieldFamily, max_depth: int, max_mode_cap: int) -> ClosureRe
     mode above the cap; the span decides on an integer row, a positive
     multiple of the bracket's coefficient_vector.  A discarded bracket
     never becomes a Fraction field: only those the span keeps are formed
-    by ``bracket``, trailing zeros included.
+    by ``bracket``, trailing zeros included.  Once the span holds all
+    2 * max_mode_cap + 1 coefficient directions every bracket reduces to
+    zero, so no further pair is formed and the next round is the fixed point.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
+    if max_mode_cap < 0:
+        raise ValueError("max_mode_cap must be >= 0")
     for f, l in zip(family.fields, family.labels):
         if not isinstance(f, TrigPoly):
             raise TypeError("closure expects a trig family")
@@ -402,21 +406,23 @@ def closure(family: FieldFamily, max_depth: int, max_mode_cap: int) -> ClosureRe
     depth_used = 1
     fixed_point = False
     pair_cursor = 0  # pairs (i, j) with j < pair_cursor are done
+    full_rank = 2 * max_mode_cap + 1
     for round_no in range(2, max_depth + 1):
         count_before = len(generated)
-        for j in range(pair_cursor, count_before):
-            for i in range(j):
-                s = _mode_law(modes[i], modes[j], max_mode_cap)
-                if s is None:
-                    continue  # over the cap
-                # the row is 4 dv dw times the bracket's coefficient_vector;
-                # a zero bracket gives a zero row, which the span does not add
-                if span.add(_mode_row(s, max_mode_cap)):
-                    gi, gj = generated[i], generated[j]
-                    w = bracket(gi.field, gj.field)
-                    generated.append(GeneratedField(
-                        f"[{gi.label},{gj.label}]", w, (i, j), gi.depth + gj.depth))
-                    modes.append(_gaussian_modes(w)[1])
+        for i, j in ((i, j) for j in range(pair_cursor, count_before) for i in range(j)):
+            if span.rank == full_rank:
+                break
+            s = _mode_law(modes[i], modes[j], max_mode_cap)
+            if s is None:
+                continue  # over the cap
+            # the row is 4 dv dw times the bracket's coefficient_vector;
+            # a zero bracket gives a zero row, which the span does not add
+            if span.add(_mode_row(s, max_mode_cap)):
+                gi, gj = generated[i], generated[j]
+                w = bracket(gi.field, gj.field)
+                generated.append(GeneratedField(
+                    f"[{gi.label},{gj.label}]", w, (i, j), gi.depth + gj.depth))
+                modes.append(_gaussian_modes(w)[1])
         pair_cursor = count_before
         if len(generated) == count_before:
             fixed_point = True

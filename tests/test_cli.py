@@ -142,6 +142,12 @@ def test_domain_errors_exit_two(tmp_path, capsys):
     assert main(["steer", "--input", inp]) == 2
     assert "word step needs an inline field" in capsys.readouterr().err
 
+    for seed in (TrigPoly.constant(1), TrigPoly.zero()):
+        inp = write(tmp_path, "family.json",
+                    {"fields": [{"label": "c", "field": seed.to_json_dict()}]})
+        assert main(["closure", "--input", inp, "--cap", "-1"]) == 2
+        assert "max_mode_cap must be >= 0" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("command, setting, value", [
     ("steer", "budget", 2.7),
@@ -210,22 +216,22 @@ for argv in json.loads(sys.argv[1]):
     assert cli.main(argv) == 0, argv
 assert not lp_stacks(), lp_stacks()[:3]
 
-lps = []
-wrapped = convex.linprog
+solves = []
+wrapped = convex.nnls
 def counted(*args, **kwargs):
-    lps.append(1)
+    solves.append(1)
     return wrapped(*args, **kwargs)
-convex.linprog = counted
+convex.nnls = counted
 assert cli.main(json.loads(sys.argv[2])) == 0
-assert lps == [1] and convex.linprog is counted, lps
+assert solves == [1] and convex.nnls is counted, solves
 assert {"scipy.optimize", "scipy.spatial"} <= set(lp_stacks()), lp_stacks()
 """
 
 
 def test_scipy_loads_only_with_the_first_convex_operation(tmp_path):
     # bracket, closure and steer never import scipy's optimizer or qhull
-    # stacks; the first boundedness LP does, through convex.linprog, which a
-    # wrapper set before it (as the benchmark tracer sets one) still sees
+    # stacks; the first boundedness solve does, through convex.nnls, which a
+    # wrapper set before it still sees
     pair = write(tmp_path, "pair.json", {"v": TrigPoly.sine(1).to_json_dict(),
                                         "w": TrigPoly.cosine(1).to_json_dict()})
     family = write(tmp_path, "family.json", family_json())

@@ -157,6 +157,13 @@ def test_rejects_seed_above_cap():
         closure(fam, max_depth=2, max_mode_cap=2)
 
 
+@pytest.mark.parametrize("seed", [TrigPoly.constant(1), TrigPoly.zero()])
+def test_rejects_negative_cap_before_the_seeds(seed):
+    fam = FieldFamily.of_trig([("c", seed)])
+    with pytest.raises(ValueError, match="max_mode_cap must be >= 0"):
+        closure(fam, max_depth=2, max_mode_cap=-1)
+
+
 # ---- closure invariants ----
 
 def test_rank_monotone_in_depth():
@@ -284,9 +291,15 @@ def test_closure_matches_the_bracket_first_reference():
                                                        [0] * (k - 1) + [b])))
         cases += [(FieldFamily.of_trig(fields), cap, 32) for cap in (k, k + 1, 2 * k + 1)]
     cases += [(four_field_family(), 8, depth) for depth in (2, 3)]
+    # the round that fills the span (rank 2 cap + 1), and one round more
+    cases += [(four_field_family(), 8, depth) for depth in (4, 5)]
+    cases += [(four_field_family(), 16, depth) for depth in (5, 6)]
     for fam, cap, depth in cases:
         assert (closure(fam, depth, cap).to_json_dict()
                 == reference_closure(fam, depth, cap).to_json_dict()), (fam.labels, cap, depth)
+    filled, after = closure(four_field_family(), 4, 8), closure(four_field_family(), 5, 8)
+    assert filled.rank == after.rank == 17 and after.depth_used == 4
+    assert not filled.fixed_point and after.fixed_point
 
 
 # ---- polynomial fields ----

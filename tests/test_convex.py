@@ -548,6 +548,15 @@ def _normal_sets():
     sets += [(np.array([[1.0], [-0.5]]), True), (np.array([[2.0], [0.3], [-4.0]]), True),
              (np.array([[1.0], [0.5]]), False), (np.array([[-1.0]]), False),
              (np.array([[0.0, 0.0]]), False), (np.eye(3), False)]
+    box = np.vstack([np.eye(3), -np.eye(3)])
+    sets += [(box * 2.0 ** 26, True), (box * 2.0 ** -26, True),
+             (np.vstack([box, box[1:4], box[1:4]]), True),  # duplicated normals
+             (np.vstack([box[:5], box[:5]]), False)]
+    # the thin wedge's certificate has sum(lambda) = 2^30 + 1, but no lambda >= 1
+    # cancels the normal e_3: x_3 runs to -infinity
+    d = 2.0 ** -30
+    sets.append((np.array([[1.0, d, 0.0], [-1.0, d, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]),
+                 False))
     return sets
 
 
@@ -555,18 +564,54 @@ def test_boundedness_lp_matches_coordinate_lps():
     sets = _normal_sets()
     assert len(sets) >= 30
     for normals, bounded in sets:
-        assert convex._bounded_by_lp(normals) == _bounded_by_coordinate_lps(normals) == bounded
+        assert convex._bounded_by_nnls(normals) == _bounded_by_coordinate_lps(normals) == bounded
 
 
 def test_one_boundedness_lp_per_body(monkeypatch):
     calls = []
+    solve = convex.nnls
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return linprog(*args, **kwargs)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(convex, "linprog", counted)
+    monkeypatch.setattr(convex, "nnls", counted)
     ConvexBody.cross_polytope(6)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("d, bounded", [(2.0 ** -20, True), (2.0 ** -30, True),
+                                        (0.0, False), (-2.0 ** -30, False),
+                                        (-2.0 ** -10, False)])
+def test_thin_wedge_is_bounded_exactly_when_its_slope_is_positive(d, bounded):
+    # {(1, d), (-1, d), (0, -1)}: the certificate is lambda = (1/2d, 1/2d, 1)
+    normals = [[1.0, d], [-1.0, d], [0.0, -1.0]]
+    if bounded:
+        ConvexBody(normals)
+    else:
+        with pytest.raises(ValueError, match="do not bound"):
+            ConvexBody(normals)
+
+
+@pytest.mark.parametrize("corrupt", ["zero", "raised"])
+def test_a_wrong_certificate_never_builds_a_body(monkeypatch, corrupt):
+    normals = np.array([[1.0, 0.25], [-1.0, 0.25], [0.0, -1.0]])
+    ConvexBody(normals)
+    solve, calls = convex.nnls, []
+
+    def wrong(A, b):
+        mu = solve(A, b)[0]
+        assert mu.any()  # lambda = 1 is no certificate for this body
+        if corrupt == "zero":
+            mu = np.zeros_like(mu)
+        else:
+            mu[0] += 1.0
+        calls.append(mu)
+        return mu, 0.0
+
+    monkeypatch.setattr(convex, "nnls", wrong)
+    with pytest.raises(ValueError, match="do not bound"):
+        ConvexBody(normals)
     assert len(calls) == 1
 
 

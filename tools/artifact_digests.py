@@ -30,7 +30,7 @@ BENCH = ROOT / "bench"
 
 
 def parser(description: str) -> argparse.ArgumentParser:
-    """The options shared with ``tools/op_rss.py``."""
+    """The options shared with ``tools/op_rss.py`` and ``tools/op_times.py``."""
     p = argparse.ArgumentParser(description=description)
     p.add_argument("--workload", nargs="+", default=["algebra", "steer", "convex"],
                    choices=("algebra", "steer", "convex"))
@@ -39,10 +39,9 @@ def parser(description: str) -> argparse.ArgumentParser:
     return p
 
 
-def run_operations(args):
-    """Yield ``(seed, operation, exit code, harness)`` for each benchmark
-    operation, run once, in order, in this process, as a benchmark pass runs
-    it; an operation that raises has the exit code ``raised``."""
+def bench_modules(args):
+    """The benchmark's ``harness`` and ``workloads`` modules, with bracketflow
+    imported from ``args.src`` under the benchmark's thread caps."""
     sys.path[:0] = [str(BENCH)]
     from run import THREAD_VARS  # the benchmark's thread caps, set before numpy loads
     for var in THREAD_VARS:
@@ -50,7 +49,14 @@ def run_operations(args):
     sys.path[:0] = [str(Path(args.src).resolve())]
     import harness  # imports bracketflow from --src
     import workloads
+    return harness, workloads
 
+
+def run_operations(args):
+    """Yield ``(seed, operation, exit code, harness)`` for each benchmark
+    operation, run once, in order, in this process, as a benchmark pass runs
+    it; an operation that raises has the exit code ``raised``."""
+    harness, workloads = bench_modules(args)
     with tempfile.TemporaryDirectory(prefix="bench-ops-") as tmp:
         for workload in args.workload:
             for seed in args.seed:
