@@ -8,10 +8,10 @@ errors, 1 on I/O or parse errors.  Runs are deterministic: the same
 arguments and inputs give byte-identical output.  JSON artifacts are the
 bytes of ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline,
 with every scalar written by the C encoder.  They are streamed to the
-output file a dict key or a float-matrix row at a time, so an artifact is
-never one string in memory, and a float matrix (Mackey's gauges) is
-written from its float64 array.  The argument parser is built once per
-process.
+output file a dict key or a float64-array row at a time, so an artifact is
+never one string in memory, and a float64 array with two axes (Mackey's
+gauges) is written from the array itself.  The argument parser is built
+once per process.
 
 Every subcommand takes ``--input`` (required) and ``--output``.  Beyond
 those, each accepts only the flags it reads; any other flag is a usage
@@ -23,10 +23,11 @@ error:
 
 A setting is its flag, else the input's JSON field of the same name, else
 the library default: ``grid`` and ``tol`` from ``flows.DEFAULT_GRID`` and
-``flows.DEFAULT_RTOL``; ``epsilon``, ``budget`` and ``primitive_depth``
-from the ``SteeringProblem`` fields; closure's ``cap`` and ``depth`` in
-``_cmd_closure``.  A JSON ``true``/``false`` for any setting, or a
-fractional number for an integer one, is a domain error.
+``flows.DEFAULT_RTOL``; ``epsilon`` and ``budget`` from the
+``SteeringProblem`` fields; closure's ``cap`` and ``depth`` in
+``_cmd_closure``.  A JSON ``true``/``false`` for any setting, a fractional
+number for an integer one, a ``tol`` that is negative or not finite and an
+``epsilon`` that is not finite and positive are domain errors.
 """
 from __future__ import annotations
 
@@ -75,16 +76,16 @@ def _dump_json(obj) -> str:
     A numpy array reached from ``obj`` through dict values alone is written
     as its ``tolist()``.  With an indent, ``json`` runs its pure-Python
     encoder.  Here only the nesting is written in Python: a list of scalars
-    is one C-encoder call, and a float matrix one call for its distinct
-    values.
+    is one C-encoder call, and a float64 array with two axes one call for
+    its distinct values.
     """
     return "".join(_pieces(obj, "")) + "\n"
 
 
 def _pieces(obj, pad: str):
     """The text of ``obj`` at nesting ``pad``, in pieces: a dict with string
-    keys goes key by key and a float matrix row by row; any other value is
-    one piece, from ``_encode``."""
+    keys goes key by key and a nonempty float64 array with two axes row by
+    row; any other value is one piece, from ``_encode``."""
     inner = pad + "  "
     if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
         for n, key in enumerate(sorted(obj)):
@@ -92,15 +93,15 @@ def _pieces(obj, pad: str):
             yield from _pieces(obj[key], inner)
         yield f"\n{pad}}}"
         return
-    matrix = _float_matrix(obj)
-    if matrix is None:
+    if not (isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim == 2
+            and obj.size):
         yield _encode(obj.tolist() if isinstance(obj, np.ndarray) else obj, pad)
         return
     # each distinct float (by bit pattern, so -0.0 and 0.0 differ) is formatted once
-    distinct, index = np.unique(matrix.view(np.int64).ravel(), return_inverse=True)
+    distinct, index = np.unique(obj.view(np.int64).ravel(), return_inverse=True)
     text = np.array(json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", "),
                     dtype=object)
-    for n, row in enumerate(index.reshape(matrix.shape)):
+    for n, row in enumerate(index.reshape(obj.shape)):
         yield f"{',' if n else '['}\n{inner}" + _block(text[row].tolist(), inner)
     yield f"\n{pad}]"
 
@@ -121,9 +122,6 @@ def _encode(obj, pad: str) -> str:
         if not obj:
             return "[]"
         if any(isinstance(v, (list, tuple, dict)) for v in obj):
-            matrix = _float_matrix(obj)
-            if matrix is not None:
-                return "".join(_pieces(matrix, pad))
             return _block([_encode(v, inner) for v in obj], pad)
         return _block([json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]], pad)
     return json.dumps(obj)
@@ -133,20 +131,6 @@ def _block(items, pad: str, brackets: str = "[]") -> str:
     """Encoded items one per line, one level deeper than ``pad``, in brackets."""
     inner = pad + "  "
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
-
-
-def _float_matrix(obj) -> Optional[np.ndarray]:
-    """``obj`` as a float64 array with two axes and at least one cell, when
-    it is one or is a rectangular list of Python-float rows; else None."""
-    if isinstance(obj, np.ndarray):
-        return obj if obj.dtype == np.float64 and obj.ndim == 2 and obj.size else None
-    if not isinstance(obj, (list, tuple)) or not obj:
-        return None
-    width = len(obj[0]) if isinstance(obj[0], (list, tuple)) else 0
-    if not width or not all(isinstance(row, (list, tuple)) and len(row) == width
-                            and set(map(type, row)) == {float} for row in obj):
-        return None
-    return np.array(obj, dtype=np.float64)
 
 
 def _load_points(spec) -> np.ndarray:
@@ -266,7 +250,6 @@ def _cmd_steer(args: argparse.Namespace, data: dict) -> str:
         family=family,
         epsilon=_setting(args, data, "epsilon", SteeringProblem.epsilon),
         budget=_setting(args, data, "budget", SteeringProblem.budget),
-        primitive_depth=_setting(args, data, "primitive_depth", SteeringProblem.primitive_depth),
     )
     result = steer(problem)
     _write_json(args.output, result.to_json_dict())

@@ -41,7 +41,6 @@ class IntegrationError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Dormand-Prince 5(4) with batch max-norm error control
 
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = (
     (),
     (1 / 5,),
@@ -76,7 +75,8 @@ def _rhs(field: TrigPoly):
 
 def _dormand_prince(field: TrigPoly, duration: float, y: np.ndarray,
                     rtol: float) -> np.ndarray:
-    """y(duration) by Dormand-Prince 5(4); raises IntegrationError."""
+    """y(duration) by Dormand-Prince 5(4); raises IntegrationError, also
+    at the first NaN error estimate (a NaN state), which no step size mends."""
     f = _rhs(field)
     direction = 1.0 if duration > 0 else -1.0
     t = 0.0
@@ -101,6 +101,8 @@ def _dormand_prince(field: TrigPoly, duration: float, y: np.ndarray,
         err_vec = h * sum(c * k for c, k in zip(_DP_ERR, ks) if c)
         scale = DEFAULT_ATOL + rtol * np.maximum(np.abs(y), np.abs(y_new))
         err = float(np.max(np.abs(err_vec) / scale))
+        if math.isnan(err):
+            raise IntegrationError("NaN error estimate")
         if err <= 1.0:
             t = duration if clipped else t + h
             y = y_new
@@ -190,9 +192,12 @@ def flow_states(field: TrigPoly, duration, y0: np.ndarray, *,
     theta + b sin n theta flows in closed form and ``rtol`` is not used;
     every other field goes through adaptive Dormand-Prince with absolute
     tolerance DEFAULT_ATOL, one duration at a time.  Past the step
-    budget, or on Dormand-Prince step-size underflow, a number raises
-    IntegrationError and an array gives that duration a NaN row.
+    budget, or on Dormand-Prince step-size underflow or a NaN state, a number
+    raises IntegrationError and an array gives that duration a NaN row.  An
+    ``rtol`` that is negative or not finite raises ValueError.
     """
+    if not 0 <= rtol < math.inf:
+        raise ValueError("rtol must be finite and >= 0")
     times = np.asarray(duration, dtype=float)
     if times.ndim > 1:
         raise ValueError("duration must be a number or a 1-d array")

@@ -27,6 +27,7 @@ from .trig_fields import TrigPoly
 
 
 _MAX_SWEEPS = 3  # spectral sweeps of phase 1
+_PRIMITIVE_DEPTH = 3  # deepest closure bracket used as a motion primitive
 _MAX_CERTIFICATE_MODE = 12  # highest target mode checked against the closure
 _TAU_MAX = 2.0  # longest greedy step duration
 _S_CAP = 0.2  # largest commutator-loop scale
@@ -84,11 +85,9 @@ def _sqrt_lift(lift_phi: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     for _ in range(200):
         residual = lift_phi - eval_lift(psi, psi)
         res = float(np.max(np.abs(residual)))
-        if res < 1e-13 or best - res < 1e-16:
+        if res < 1e-13 or best - res < 1e-16:  # also ends at a residual that does not fall
             break
-        if res > best and damping > 1 / 16:
-            damping *= 0.5
-        best = min(best, res)
+        best = res
         candidate = psi + 0.5 * damping * residual
         if is_monotone_lift(candidate):
             psi = candidate
@@ -139,9 +138,9 @@ def fourier_profile(u: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 class _Certificate:
     """Exact combinations of closure-generated fields for basis modes."""
 
-    def __init__(self, report: ClosureReport, primitive_depth: int):
+    def __init__(self, report: ClosureReport):
         self.report = report
-        self.indices = [i for i, g in enumerate(report.generated) if g.depth <= primitive_depth]
+        self.indices = [i for i, g in enumerate(report.generated) if g.depth <= _PRIMITIVE_DEPTH]
         self.columns = [report.generated[i].field.coefficient_vector(report.cap)
                         for i in self.indices]
         self._cache: dict = {}
@@ -198,15 +197,12 @@ class SteeringProblem:
     family: FieldFamily = dc_field(default_factory=default_family)
     epsilon: float = 1e-2
     budget: int = 400
-    primitive_depth: int = 3
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and positive")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.primitive_depth < 1:
-            raise ValueError("primitive_depth must be >= 1")
 
 
 @dataclass
@@ -285,7 +281,7 @@ def steer(problem: SteeringProblem) -> SteeringResult:
         if missing:
             raise NotBracketGenerating(
                 f"family closure does not span modes {missing} needed by the target")
-        certificate = _Certificate(report, problem.primitive_depth)
+        certificate = _Certificate(report)
         coeff_floor = max(1e-10, problem.epsilon / (8.0 * (2 * n_check + 2)))
 
         # phase 1: spectral sweeps
@@ -313,7 +309,7 @@ def steer(problem: SteeringProblem) -> SteeringResult:
                         continue
                     combo = certificate.combination(n, kind)
                     if combo is None:
-                        continue  # not reachable within primitive_depth
+                        continue  # not reachable within _PRIMITIVE_DEPTH
                     for idx, c in combo:
                         sweep_steps.extend(
                             _realize_flow(report.generated, idx, coef * float(c)))

@@ -37,8 +37,9 @@ class TrigPoly:
     """Truncated Fourier series c0 + sum_n (a_n cos nt + b_n sin nt).
 
     Coefficient tuples hold exactly ``max_mode`` entries each.  Trailing
-    zero modes are legal; equality compares mode by mode after zero
-    extension, so the same field in two lengths is one value.
+    zero modes are legal; equality and hashing compare the coefficients
+    with trailing zero modes dropped, so the same field in two lengths is
+    one value.
     """
 
     c0: Fraction
@@ -114,9 +115,13 @@ class TrigPoly:
             return self.cos_coeffs[n - 1], self.sin_coeffs[n - 1]
         return _ZERO, _ZERO
 
-    def trimmed(self) -> "TrigPoly":
+    def _key(self) -> tuple:
+        """(c0, cos, sin) without trailing zero modes: the field's identity."""
         n = self.effective_max_mode()
-        return TrigPoly(self.c0, self.cos_coeffs[:n], self.sin_coeffs[:n])
+        return self.c0, self.cos_coeffs[:n], self.sin_coeffs[:n]
+
+    def trimmed(self) -> "TrigPoly":
+        return TrigPoly(*self._key())
 
     def coefficient_vector(self, cap: int) -> list[Fraction]:
         """(c0, a_1..a_cap, b_1..b_cap), zero-extended; needs cap >= content."""
@@ -132,19 +137,10 @@ class TrigPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        if self.c0 != other.c0:
-            return False
-        for a, b in zip_longest(self.cos_coeffs, other.cos_coeffs, fillvalue=_ZERO):
-            if a != b:
-                return False
-        for a, b in zip_longest(self.sin_coeffs, other.sin_coeffs, fillvalue=_ZERO):
-            if a != b:
-                return False
-        return True
+        return self._key() == other._key()
 
     def __hash__(self):
-        t = self.trimmed()
-        return hash((t.c0, t.cos_coeffs, t.sin_coeffs))
+        return hash(self._key())
 
     # ---- linear structure ----
 

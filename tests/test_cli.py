@@ -170,6 +170,45 @@ def test_settings_reject_bools_and_fractional_integers(tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, value, problem", [
+    ("steer", "--epsilon", "nan", "epsilon must be finite"),
+    ("steer", "--epsilon", "inf", "epsilon must be finite"),
+    ("residual", "--tol", "nan", "rtol must be finite"),
+    ("residual", "--tol", "-1", "rtol must be finite"),
+    ("flow", "--tol", "inf", "rtol must be finite"),
+])
+def test_non_finite_or_negative_settings_exit_two(tmp_path, capsys, command, flag, value,
+                                                  problem):
+    # the residual and flow fields flow in closed form, which never reads the tolerance
+    inputs = {"steer": {"target": {"kind": "rotation", "angle": 0.3}},
+              "residual": {"x": TrigPoly.sine(1).to_json_dict(),
+                           "y": TrigPoly.cosine(1).to_json_dict(), "theta": 0.3, "t": 0.05},
+              "flow": {"field": TrigPoly.zero().to_json_dict(), "t": 2.0}}
+    inp = write(tmp_path, "in.json", inputs[command])
+    out = tmp_path / "out"
+    assert main([command, "--input", inp, "--output", str(out), flag, value]) == 2
+    assert problem in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_residual_from_a_nan_angle_exits_two(tmp_path, capsys):
+    x = TrigPoly.from_coeffs(0, [0, 1], [1])  # two modes: Dormand-Prince
+    inp = write(tmp_path, "res.json", {"x": x.to_json_dict(), "y": x.to_json_dict(),
+                                       "theta": math.nan, "t": 0.05})
+    assert main(["residual", "--input", inp]) == 2
+    assert "IntegrationError: NaN error estimate" in capsys.readouterr().err
+
+
+def test_a_primitive_depth_key_is_ignored_like_any_unknown_key(tmp_path):
+    target = {"target": {"kind": "rotation", "angle": 0.3}}
+    outs = []
+    for extra in ({}, {"primitive_depth": 1}, {"no_such_setting": 1}):
+        inp = write(tmp_path, "steer.json", {**target, **extra})
+        outs.append(tmp_path / f"out{len(outs)}.json")
+        assert main(["steer", "--input", inp, "--output", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+
 def test_io_errors_exit_one(tmp_path):
     assert main(["bracket", "--input", str(tmp_path / "missing.json")]) == 1
     bad = tmp_path / "bad.json"

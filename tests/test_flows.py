@@ -347,6 +347,27 @@ def test_a_failed_duration_is_a_nan_row():
         flow_states(SIN1, np.array([0.3, math.nan]), y0)
 
 
+TWO_MODE = TrigPoly.from_coeffs(0, [0, 1], [1])  # flows through Dormand-Prince
+
+
+@pytest.mark.parametrize("field, rtol", [
+    (COS1, math.nan), (COS1, math.inf), (COS1, -1.0),  # closed form: rtol unread
+    (TWO_MODE, math.inf), (TWO_MODE, -1e-10),
+])
+def test_rtol_must_be_finite_and_non_negative(field, rtol):
+    with pytest.raises(ValueError, match="rtol"):
+        flow_states(field, 0.3, grid_angles(16), rtol=rtol)
+
+
+def test_a_nan_start_fails_at_the_first_dormand_prince_step():
+    y0 = np.array([0.1, math.nan, 0.3])
+    with pytest.raises(IntegrationError, match="NaN"):
+        flow_states(TWO_MODE, 0.5, y0)
+    assert np.isnan(flow_states(TWO_MODE, np.array([0.5, -0.5]), y0)).all()
+    with pytest.raises(IntegrationError):
+        commutator_flow_residual(TWO_MODE, COS1, math.nan, 0.05)
+
+
 def test_monotonicity_checks_each_row():
     y0 = seeded_lift(np.random.default_rng(6), 32)
     swapped = y0.copy()

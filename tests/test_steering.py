@@ -167,8 +167,7 @@ def test_mode_zero_reachable_from_mode_two_family():
     fam = FieldFamily.of_trig([("cos2", TrigPoly.cosine(2)),
                                ("sin2", TrigPoly.sine(2))])
     res = steer(SteeringProblem(target=CircleDiffeo.rotation(0.2, 256),
-                                family=fam, epsilon=2e-2, budget=400,
-                                primitive_depth=2))
+                                family=fam, epsilon=2e-2, budget=400))
     assert res.achieved_error <= 2e-2
 
 
@@ -330,15 +329,15 @@ def test_error_non_increasing_in_budget():
 
 
 def test_density_trend_over_depth_budget_ladder():
-    """A fixed smooth target is approached better as the primitive depth
-    and budget grow (or the error already sits below the goal)."""
+    """A fixed smooth target is approached better as the budget grows, at
+    the planner's fixed primitive depth (or the error already sits below
+    the goal)."""
     gen = TrigPoly.from_coeffs(0, ["0", "0", "0", "3/50"], ["1/4", "0", "3/25", "0"])
     target = apply_word(FlowWord.of([(gen, 1.0)]), IDENT)
     eps = 1e-3
     errs = []
-    for depth, budget in [(1, 150), (2, 250), (3, 400)]:
-        res = steer(SteeringProblem(target=target, epsilon=eps, budget=budget,
-                                    primitive_depth=depth))
+    for budget in (150, 250, 400):
+        res = steer(SteeringProblem(target=target, epsilon=eps, budget=budget))
         errs.append(res.achieved_error)
     for e1, e2 in zip(errs, errs[1:]):
         assert e2 < e1 or e2 <= eps
@@ -369,3 +368,9 @@ def test_problem_validation():
         SteeringProblem(target=IDENT, epsilon=0.0)
     with pytest.raises(ValueError):
         SteeringProblem(target=IDENT, epsilon=1e-2, budget=0)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+def test_problem_rejects_a_non_finite_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        SteeringProblem(target=IDENT, epsilon=epsilon)

@@ -279,11 +279,22 @@ def test_evaluate_bracket_matches_finite_differences():
 
 # ---- representation contracts ----
 
-def test_equality_after_zero_extension():
-    a = TrigPoly.from_coeffs(1, [1, 0, 0], [0, 0, 0])
-    b = TrigPoly.from_coeffs(1, [1], [0])
-    assert a == b
-    assert hash(a) == hash(b)
+@settings(max_examples=200, deadline=None)
+@given(trig_polys(), st.integers(0, 3), st.data())
+def test_equality_after_zero_extension(p, pad, data):
+    zeros = [0] * pad
+    padded = TrigPoly.from_coeffs(p.c0, [*p.cos_coeffs, *zeros], [*p.sin_coeffs, *zeros])
+    assert padded == p and p == padded
+    assert hash(padded) == hash(p)
+    assert padded.trimmed() == p.trimmed()
+    assert padded.trimmed().max_mode == p.effective_max_mode()
+    # changing any one coefficient, padding included, breaks equality
+    coeffs = [padded.c0, *padded.cos_coeffs, *padded.sin_coeffs]
+    i = data.draw(st.integers(0, len(coeffs) - 1))
+    coeffs[i] += data.draw(fractions.filter(bool))
+    n = padded.max_mode
+    changed = TrigPoly.from_coeffs(coeffs[0], coeffs[1:n + 1], coeffs[n + 1:])
+    assert changed != padded and changed != p and p != changed
 
 
 def test_coefficient_arrays_same_length():
