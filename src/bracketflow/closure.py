@@ -461,7 +461,8 @@ def lie_rank_at_point(family: FieldFamily, point: Sequence, max_depth: int) -> i
     Brackets are formed symbolically round by round (independence judged
     on the polynomial coefficients, which is sound by bilinearity), and
     only then evaluated, so fields that vanish at the point still
-    contribute through their brackets.
+    contribute through their brackets.  Coordinates are taken exactly: a
+    float is its exact binary value, so 1e-13 is not rounded to 0.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
@@ -471,8 +472,7 @@ def lie_rank_at_point(family: FieldFamily, point: Sequence, max_depth: int) -> i
     n = fields[0].dim
     if len(point) != n:
         raise ValueError("dimension mismatch")
-    x = [Fraction(p) if not isinstance(p, float) else Fraction(p).limit_denominator(10**12)
-         for p in point]
+    x = [Fraction(p) for p in point]
 
     span = IntegerSpan()
     generated: list[PolyField] = []

@@ -9,9 +9,11 @@ flows in closed form (its span with 1 is a copy of sl(2, R), so its flow
 is the n-fold lift of a Moebius map; the closed form is built once per
 field instance and turns all the times together), and every other field
 through an adaptive Dormand-Prince integrator that steps the whole batch
-together, one time after another.  Either way a row is bitwise the
-one-time call, and repeated applications of the same word are bitwise
-reproducible; ``apply_steps`` is the one loop that applies a word.  Between samples a lift is the trigonometric interpolant of its
+together, one time after another; a batch of one start steps as a Python
+float, in math.cos/math.sin arithmetic with no numpy call per stage.
+Either way a row is bitwise the one-time call, and repeated applications
+of the same word are bitwise reproducible; ``apply_steps`` is the one loop
+that applies a word.  Between samples a lift is the trigonometric interpolant of its
 displacement, spectrally accurate for smooth diffeomorphisms.  It is
 evaluated from a power table of exp(i x): for m queries and K modes,
 O(m K) multiplies and one complex exp per query.  Its Newton inverse
@@ -58,10 +60,28 @@ _DP_ERR = (
 _MAX_STEPS = 1_000_000
 
 
-def _rhs(field: TrigPoly):
+def _rhs(field: TrigPoly, single: bool):
+    """The field as a function of the state: an array of samples, or with
+    ``single`` one Python float, evaluated with math.cos and math.sin and
+    no numpy call (an infinite angle gives NaN, as np.cos does)."""
     v = field.trimmed()
     n = v.max_mode
     c0 = float(v.c0)
+    if single:
+        terms = [(float(k), float(a), float(b))
+                 for k, a, b in zip(range(1, n + 1), v.cos_coeffs, v.sin_coeffs)]
+
+        def f_single(y: float) -> float:
+            cos_sum = sin_sum = 0.0
+            try:
+                for k, a, b in terms:
+                    cos_sum += a * math.cos(k * y)
+                    sin_sum += b * math.sin(k * y)
+            except ValueError:  # math.cos(inf) raises
+                return math.nan
+            return c0 + cos_sum + sin_sum
+
+        return f_single
     a = np.array([float(x) for x in v.cos_coeffs])
     b = np.array([float(x) for x in v.sin_coeffs])
     modes = np.arange(1, n + 1, dtype=float)
@@ -73,11 +93,26 @@ def _rhs(field: TrigPoly):
     return f
 
 
-def _dormand_prince(field: TrigPoly, duration: float, y: np.ndarray,
-                    rtol: float) -> np.ndarray:
+def _combine(coeffs: tuple, ks: list):
+    """Sum of c * k over the nonzero coefficients, added in order, so one
+    expression serves float and array states alike."""
+    total = None
+    for c, k in zip(coeffs, ks):
+        if c:
+            total = c * k if total is None else total + c * k
+    return total
+
+
+def _dormand_prince(field: TrigPoly, duration: float, y, rtol: float):
     """y(duration) by Dormand-Prince 5(4); raises IntegrationError, also
-    at the first NaN error estimate (a NaN state), which no step size mends."""
-    f = _rhs(field)
+    at the first NaN error estimate (a NaN state), which no step size mends.
+
+    The state is an array of samples, stepped together under their
+    max-norm error, or a single start as a Python float, which steps in
+    float arithmetic with no numpy call.
+    """
+    single = isinstance(y, float)
+    f = _rhs(field, single)
     direction = 1.0 if duration > 0 else -1.0
     t = 0.0
     h = direction * min(0.05, abs(duration) / 10.0)
@@ -95,12 +130,14 @@ def _dormand_prince(field: TrigPoly, duration: float, y: np.ndarray,
             clipped = True
         ks = [k1]
         for i in range(1, 7):
-            yi = y + h * sum(c * k for c, k in zip(_DP_A[i], ks))
-            ks.append(f(yi))
-        y_new = y + h * sum(c * k for c, k in zip(_DP_B5, ks) if c)
-        err_vec = h * sum(c * k for c, k in zip(_DP_ERR, ks) if c)
-        scale = DEFAULT_ATOL + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.max(np.abs(err_vec) / scale))
+            ks.append(f(y + h * _combine(_DP_A[i], ks)))
+        y_new = y + h * _combine(_DP_B5, ks)
+        err_est = h * _combine(_DP_ERR, ks)
+        if single:
+            err = abs(err_est) / (DEFAULT_ATOL + rtol * max(abs(y), abs(y_new)))
+        else:
+            scale = DEFAULT_ATOL + rtol * np.maximum(np.abs(y), np.abs(y_new))
+            err = float(np.max(np.abs(err_est) / scale))
         if math.isnan(err):
             raise IntegrationError("NaN error estimate")
         if err <= 1.0:
@@ -191,7 +228,8 @@ def flow_states(field: TrigPoly, duration, y0: np.ndarray, *,
     the call with that duration alone.  A single-mode field c0 + a cos n
     theta + b sin n theta flows in closed form and ``rtol`` is not used;
     every other field goes through adaptive Dormand-Prince with absolute
-    tolerance DEFAULT_ATOL, one duration at a time.  Past the step
+    tolerance DEFAULT_ATOL, one duration at a time, and a single start
+    steps as a Python float rather than a one-element array.  Past the step
     budget, or on Dormand-Prince step-size underflow or a NaN state, a number
     raises IntegrationError and an array gives that duration a NaN row.  An
     ``rtol`` that is negative or not finite raises ValueError.
@@ -215,9 +253,10 @@ def flow_states(field: TrigPoly, duration, y0: np.ndarray, *,
         rows = exact(times, y, single)
     else:
         rows = np.empty((len(times), y.size))
+        start = float(y[0]) if y.size == 1 else y
         for i, t in enumerate(times):
             try:
-                rows[i] = _dormand_prince(field, t, y, rtol)
+                rows[i] = _dormand_prince(field, t, start, rtol)
             except IntegrationError:
                 if single:
                     raise
@@ -470,7 +509,12 @@ def commutator_word(x: TrigPoly, y: TrigPoly, s: float) -> FlowWord:
 
 def commutator_flow_residual(x: TrigPoly, y: TrigPoly, theta: float, t: float, *,
                              rtol: float = DEFAULT_RTOL) -> float:
-    """(loop(theta) - theta) / t^2 for the commutator loop at scale t."""
+    """(loop(theta) - theta) / t^2 for the commutator loop at scale t.
+
+    A theta that is not finite raises ValueError before any flow.
+    """
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
     if t == 0:
         raise ValueError("t must be nonzero")
     state = apply_steps(commutator_word(x, y, t).steps, np.array([theta], dtype=float),

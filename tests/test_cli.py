@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from bracketflow.cli import COMMANDS, _dump_json, _load_points, _parser, _write_json, main
 from bracketflow.convex import ConvexBody, mackey_cauchy_diagnostic
-from bracketflow.flows import CircleDiffeo
+from bracketflow.flows import CircleDiffeo, FlowWord, apply_word
 from bracketflow.trig_fields import TrigPoly
 
 
@@ -59,6 +59,21 @@ def test_flow_command_zero_field_is_identity(tmp_path):
         assert main(["flow", "--input", inp, "--output", str(out)]) == 0
         diffeo = CircleDiffeo.from_csv(out.read_text())
         assert np.allclose(diffeo.lift, CircleDiffeo.identity(32).lift)
+
+
+def test_flow_command_through_dormand_prince_and_back(tmp_path):
+    field = TrigPoly.from_coeffs(0, [0, 1], [1])  # two modes: Dormand-Prince on 64 samples
+    inp = write(tmp_path, "flow.json", {"field": field.to_json_dict(), "t": 0.3, "grid": 64})
+    out = tmp_path / "flow.csv"
+    assert main(["flow", "--input", inp, "--output", str(out)]) == 0
+    expected = apply_word(FlowWord.of([(field, 0.3)]), CircleDiffeo.identity(64))
+    assert out.read_bytes() == expected.to_csv().encode()
+    back_inp = write(tmp_path, "back.json", {"field": field.to_json_dict(), "t": -0.3,
+                                             "diffeo": {"kind": "csv", "path": str(out)}})
+    back = tmp_path / "back.csv"
+    assert main(["flow", "--input", back_inp, "--output", str(back)]) == 0
+    lift = CircleDiffeo.from_csv(back.read_text(encoding="utf-8")).lift
+    assert np.max(np.abs(lift - CircleDiffeo.identity(64).lift)) <= 1e-9
 
 
 def test_residual_command(tmp_path):
@@ -196,7 +211,7 @@ def test_residual_from_a_nan_angle_exits_two(tmp_path, capsys):
     inp = write(tmp_path, "res.json", {"x": x.to_json_dict(), "y": x.to_json_dict(),
                                        "theta": math.nan, "t": 0.05})
     assert main(["residual", "--input", inp]) == 2
-    assert "IntegrationError: NaN error estimate" in capsys.readouterr().err
+    assert "ValueError: theta must be finite" in capsys.readouterr().err
 
 
 def test_a_primitive_depth_key_is_ignored_like_any_unknown_key(tmp_path):

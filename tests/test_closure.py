@@ -335,6 +335,12 @@ def test_lie_rank_single_field():
         assert lie_rank_at_point(fam, (0, 0), depth) == 1
 
 
+def test_lie_rank_takes_a_float_point_exactly():
+    fam = FieldFamily((PolyField((Polynomial.variable(1, 0),)),), ("x d/dx",))
+    assert lie_rank_at_point(fam, (1e-13,), 2) == 1
+    assert lie_rank_at_point(fam, (0.0,), 2) == 0
+
+
 def test_lie_rank_dimension_mismatch():
     fam = FieldFamily((PolyField.coordinate(2, 0),), ("dx",))
     with pytest.raises(ValueError):

@@ -364,8 +364,28 @@ def test_a_nan_start_fails_at_the_first_dormand_prince_step():
     with pytest.raises(IntegrationError, match="NaN"):
         flow_states(TWO_MODE, 0.5, y0)
     assert np.isnan(flow_states(TWO_MODE, np.array([0.5, -0.5]), y0)).all()
-    with pytest.raises(IntegrationError):
-        commutator_flow_residual(TWO_MODE, COS1, math.nan, 0.05)
+    for start in (math.nan, math.inf):  # one start steps as a float
+        with pytest.raises(IntegrationError, match="NaN"):
+            integrate_flow(TWO_MODE, 0.5, start)
+        with pytest.raises(ValueError, match="theta must be finite"):  # before any flow
+            commutator_flow_residual(TWO_MODE, COS1, start, 0.05)
+
+
+def test_a_single_start_steps_like_a_batch():
+    """One start steps in Python floats; the same start twice steps as an
+    array under the same step control, so the two agree to rounding."""
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n = int(rng.integers(2, 5))
+        cos = [Fraction(int(rng.integers(-2, 3)), 4 * 2 ** k) for k in range(n)]
+        sin = [Fraction(int(rng.integers(-2, 3)), 4 * 2 ** k) for k in range(n)]
+        cos[0], sin[-1] = Fraction(1, 2), Fraction(-1, 2 ** n)  # modes 1 and n: not sl(2)
+        field = TrigPoly.from_coeffs(Fraction(int(rng.integers(-2, 3)), 4), cos, sin)
+        theta = rng.uniform(0.0, 2 * math.pi)
+        t = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-3.0, 0.0)
+        one = flow_states(field, t, np.array([theta]))[0]
+        two = flow_states(field, t, np.array([theta, theta]))[0]
+        assert abs(one - two) <= 1e-11
 
 
 def test_monotonicity_checks_each_row():
