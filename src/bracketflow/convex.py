@@ -222,7 +222,82 @@ def symmetrize(body: ConvexBody) -> ConvexBody:
 # ---------------------------------------------------------------------------
 # minimum-norm point and separation
 
-_SCAN_PAIRS = 1 << 16  # difference rows per block of the closest-pair scan
+_SCAN_PAIRS = 1 << 16  # difference rows per group of the closest-pair scan
+
+
+def _closest_pair(A: np.ndarray, B: np.ndarray) -> tuple[tuple[int, int], float]:
+    """((i, j), s): the pair of least computed |A[i] - B[j]|^2 = s, and
+    among equal minima the lexicographically least (i, j), which is what a
+    row-major argmin over all |A|*|B| pairs returns.
+
+    Window scan over sorted projections: both sets are projected onto the
+    unit vector u from A's centroid to B's, taken relative to c = A[0]
+    (u = e_1 if the centroids coincide), and both are sorted by projection.
+    Each a and its one or two neighbours among B's projections give an
+    upper bound s0 >= s.  Then only the b whose projections lie within w
+    of a's are evaluated: consecutive rows of sorted A against the union
+    of their windows, at most _SCAN_PAIRS pairs per group, by the same
+    einsum as a scan of all pairs, so each squared distance has the same
+    bits.  When the projections overlap, the windows hold every pair and
+    the groups are the row blocks of that full scan.
+
+    The window w is a floating-point bound, so a pair is skipped only if
+    its computed squared distance exceeds s0.  Let n be the dimension,
+    e = 2^-53, g = (n + 4)e / (1 - (n + 4)e), and R the largest
+    |x_k - c_k| over both sets.  Then:
+
+    - a computed squared distance is at least (1 - g)|a - b|^2;
+    - a computed projection is within g R |u|_1 of (x - c).u;
+    - w = (sqrt(s0) |u|_2 + 3g R |u|_1)(1 + 4g) + 2^-500 |u|_2, and the
+      factor 1 + 4g covers the roundings of w itself and of p_a -+ w.
+
+    So a skipped pair has |(a - b).u| > (sqrt(s0)(1 + g) + 2^-500)|u|_2,
+    hence |a - b| > sqrt(s0)(1 + g) + 2^-500, and its computed squared
+    distance exceeds (1 - g)(1 + g)^2 s0 >= s0.  The 2^-500 term covers
+    underflow in the squares and the projections.  R is relative to c, so
+    a common offset (up to 1e11 and beyond) does not widen the windows.
+    If 2R|u|_1 + w overflows, every window holds every pair.
+    """
+    n, na, nb = A.shape[1], A.shape[0], B.shape[0]
+    c = A[0]
+    dA, dB = A - c, B - c
+    v = dB.mean(axis=0) - dA.mean(axis=0)
+    norm = math.sqrt(float(v @ v))
+    u = v / norm if norm > 0.0 else np.eye(1, n)[0]
+    pa, pb = dA @ u, dB @ u
+    ia, ib = np.argsort(pa, kind="stable"), np.argsort(pb, kind="stable")
+    As, Bs, pa, pb = A[ia], B[ib], pa[ia], pb[ib]
+    near = np.searchsorted(pb, pa)
+    diff = np.vstack([As - Bs[np.maximum(near - 1, 0)], As - Bs[np.minimum(near, nb - 1)]])
+    s0 = float(np.einsum("ij,ij->i", diff, diff).min())
+    g = (n + 4) * 2.0 ** -53 / (1.0 - (n + 4) * 2.0 ** -53)
+    R = max(float(np.abs(dA).max(initial=0.0)), float(np.abs(dB).max(initial=0.0)))
+    n1, n2 = float(np.abs(u).sum()), math.sqrt(float(u @ u))
+    w = (math.sqrt(s0) * n2 + 3.0 * g * R * n1) * (1.0 + 4.0 * g) + 2.0 ** -500 * n2
+    if math.isfinite(2.0 * R * n1 + w):
+        lo = np.searchsorted(pb, pa - w, side="left")
+        hi = np.searchsorted(pb, pa + w, side="right")
+    else:
+        lo, hi = np.zeros(na, dtype=np.intp), np.full(na, nb, dtype=np.intp)
+
+    start, best = (0, 0), math.inf
+    i0 = 0
+    while i0 < na:
+        # rows i0..i1-1 of As against Bs[j0:j0 + width], the union of their
+        # windows (lo and hi rise with the row), at most _SCAN_PAIRS pairs
+        area = (hi[i0:i0 + _SCAN_PAIRS] - lo[i0]) * np.arange(1, min(na - i0, _SCAN_PAIRS) + 1)
+        i1 = i0 + max(1, int(np.searchsorted(area, _SCAN_PAIRS, side="right")))
+        j0, width = int(lo[i0]), int(hi[i1 - 1] - lo[i0])
+        diff = (As[i0:i1, None, :] - Bs[None, j0:j0 + width, :]).reshape(-1, n)
+        sq = np.einsum("ij,ij->i", diff, diff)
+        if sq.size and (m := sq.min()) <= best:
+            hit = np.flatnonzero(sq == m)
+            i, j = ia[i0 + hit // width], ib[j0 + hit % width]
+            at = int(np.argmin(i * nb + j))
+            if m < best or (i[at], j[at]) < start:
+                start, best = (int(i[at]), int(j[at])), float(m)
+        i0 = i1
+    return start, best
 
 
 def _min_norm_point(A: np.ndarray, B: np.ndarray, tol: float = 1e-13) -> np.ndarray:
@@ -231,22 +306,17 @@ def _min_norm_point(A: np.ndarray, B: np.ndarray, tol: float = 1e-13) -> np.ndar
     The difference set is never built (Gilbert-Johnson-Keerthi): the
     point entering the corral is the support pair (argmin_A <a, x>,
     argmax_B <b, x>), and the corral holds index pairs (i, j) that stand
-    for the rows A[i] - B[j].  Only the closest-pair start looks at every
-    pair, one block of _SCAN_PAIRS at a time.
+    for the rows A[i] - B[j].  The start is the closest pair, found by a
+    window scan over sorted projections (see _closest_pair).  Its window
+    carries a proven floating-point slack, so the scan returns the same
+    pair and squared distance as a scan of every pair.
     """
     def rows(pairs):
         idx = np.array(pairs)
         return A[idx[:, 0]] - B[idx[:, 1]]
 
     nb = B.shape[0]
-    block = max(1, _SCAN_PAIRS // nb)
-    start, best = (0, 0), math.inf
-    for i0 in range(0, A.shape[0], block):
-        diff = (A[i0:i0 + block, None, :] - B[None, :, :]).reshape(-1, A.shape[1])
-        sq = np.einsum("ij,ij->i", diff, diff)
-        j = int(np.argmin(sq))
-        if sq[j] < best:
-            start, best = (i0 + j // nb, j % nb), sq[j]
+    start = _closest_pair(A, B)[0]
     S = [start]
     w = np.array([1.0])
     x = A[start[0]] - B[start[1]]

@@ -11,6 +11,7 @@ field instance and turns all the times together), and every other field
 through an adaptive Dormand-Prince integrator that steps the whole batch
 together, one time after another; a batch of one start steps as a Python
 float, in math.cos/math.sin arithmetic with no numpy call per stage.
+The float and array evaluators are also built once per field instance.
 Either way a row is bitwise the one-time call, and repeated applications
 of the same word are bitwise reproducible; ``apply_steps`` is the one loop
 that applies a word.  Between samples a lift is the trigonometric interpolant of its
@@ -58,6 +59,17 @@ _DP_ERR = (
 )
 
 _MAX_STEPS = 1_000_000
+
+
+def _per_field(field: TrigPoly, name: str, build):
+    """``build(field)``, built once per field instance and kept on it
+    (TrigPoly hashes by value, so a dict cannot key it by instance)."""
+    try:
+        return field.__dict__[name]
+    except KeyError:
+        value = build(field)
+        object.__setattr__(field, name, value)
+        return value
 
 
 def _rhs(field: TrigPoly, single: bool):
@@ -112,7 +124,7 @@ def _dormand_prince(field: TrigPoly, duration: float, y, rtol: float):
     float arithmetic with no numpy call.
     """
     single = isinstance(y, float)
-    f = _rhs(field, single)
+    f = _per_field(field, "_float_rhs" if single else "_array_rhs", lambda v: _rhs(v, single))
     direction = 1.0 if duration > 0 else -1.0
     t = 0.0
     h = direction * min(0.05, abs(duration) / 10.0)
@@ -244,11 +256,7 @@ def flow_states(field: TrigPoly, duration, y0: np.ndarray, *,
     if not all(map(math.isfinite, times)):
         raise ValueError("duration must be finite")
     y = np.array(y0, dtype=float)
-    try:
-        exact = field.__dict__["_sl2_flow"]
-    except KeyError:  # built once; TrigPoly hashes by value, so not in a dict
-        exact = _sl2_flow(field)
-        object.__setattr__(field, "_sl2_flow", exact)
+    exact = _per_field(field, "_sl2_flow", _sl2_flow)
     if exact is not None:
         rows = exact(times, y, single)
     else:

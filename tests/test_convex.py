@@ -714,6 +714,69 @@ def test_separate_memory_stays_small():
     assert peak < 8 * 2 ** 20
 
 
+def _closest_pair_by_rows(A, B):
+    """Row-major argmin of the squared difference rows, the start rule of
+    _min_norm_point_of_rows, one row of A at a time."""
+    start, best = (0, 0), math.inf
+    for i, a in enumerate(A):
+        diff = a - B
+        sq = np.einsum("ij,ij->i", diff, diff)
+        j = int(np.argmin(sq))
+        if sq[j] < best:
+            start, best = (i, j), float(sq[j])
+    return start, best
+
+
+def _start_pair_cases():
+    rng = np.random.default_rng(80)
+    cases = []
+    for k in range(240):
+        n = k % 6 + 1
+        offset = rng.choice([-1.0, 1.0]) * 10.0 ** (k % 12)
+        na = 1 if k % 7 == 0 else int(rng.integers(1, 80))
+        nb = 1 if k % 5 == 0 else int(rng.integers(1, 80))
+        A = offset + rng.normal(size=(na, n))
+        B = offset + rng.normal(size=n) * rng.choice([0.0, 0.5, 3.0]) + rng.normal(size=(nb, n))
+        if k % 4 == 0:  # quarter-rounded coordinates: equally close pairs
+            A, B = np.round(4 * A) / 4, np.round(4 * B) / 4
+        if k % 3 == 0:  # repeated rows
+            A, B = np.tile(A[:3], (3, 1)), np.repeat(B[:4], 2, axis=0)
+        cases.append((A, B))
+    for n in range(1, 7):  # the same quarter-rounded points twice: equal centroids
+        A = 10.0 ** (2 * n) + np.round(4 * rng.normal(size=(30, n))) / 4
+        B = A[rng.permutation(30)]
+        assert np.array_equal((A - A[0]).mean(axis=0), (B - A[0]).mean(axis=0))
+        cases.append((A, B))
+    return cases
+
+
+@pytest.mark.parametrize("group", [convex._SCAN_PAIRS, 1, 50])
+def test_closest_pair_matches_the_row_scan(monkeypatch, group):
+    monkeypatch.setattr(convex, "_SCAN_PAIRS", group)  # small groups: ties across groups
+    for A, B in _start_pair_cases():
+        (i, j), s = convex._closest_pair(A, B)
+        (ri, rj), rs = _closest_pair_by_rows(A, B)
+        assert (i, j) == (ri, rj)
+        assert np.float64(s).tobytes() == np.float64(rs).tobytes()
+
+
+def test_closest_pair_of_overlapping_clouds_stays_small():
+    # every point has x_1 = 0 and both centroids are 0 exactly, so every
+    # projection is 0 and every window holds every pair
+    rng = np.random.default_rng(81)
+    half_a, half_b = (np.round(4 * rng.normal(size=(750, 2))) / 4 for _ in range(2))
+    A = np.hstack([np.zeros((1500, 1)), np.vstack([half_a, -half_a])])
+    B = np.hstack([np.zeros((1500, 1)), np.vstack([half_b, -half_b])])
+    tracemalloc.start()
+    try:
+        got = convex._closest_pair(A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert got == _closest_pair_by_rows(A, B)
+
+
 def test_membership_masks_and_isolation_match_point_loop():
     rng = np.random.default_rng(60)
     checked = 0

@@ -388,6 +388,27 @@ def test_a_single_start_steps_like_a_batch():
         assert abs(one - two) <= 1e-11
 
 
+def test_repeated_flows_build_each_evaluator_once(monkeypatch):
+    """The closed-form check, the float evaluator and the array evaluator are
+    each built once per field instance, so repeated flows trim the field
+    once per kind, and they give the bits of a fresh instance's flows."""
+    def field():
+        return TrigPoly.from_coeffs(Fraction(1, 4), [0, 1, Fraction(1, 2)], [1])
+
+    def flows(v):
+        return [flow_states(v, 0.05, np.array([0.7])),
+                flow_states(v, -0.3, np.linspace(0.0, 6.0, 9))]
+
+    expected = flows(field())
+    v = field()
+    trims = []
+    trimmed = TrigPoly.trimmed
+    monkeypatch.setattr(TrigPoly, "trimmed", lambda self: trims.append(self) or trimmed(self))
+    for _ in range(4):
+        assert [r.tobytes() for r in flows(v)] == [r.tobytes() for r in expected]
+    assert len(trims) == 3 and all(t is v for t in trims)
+
+
 def test_monotonicity_checks_each_row():
     y0 = seeded_lift(np.random.default_rng(6), 32)
     swapped = y0.copy()
