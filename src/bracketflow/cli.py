@@ -3,10 +3,10 @@
 Reads JSON (and CSV for sampled diffeomorphisms and point sets), writes
 JSON/CSV artifacts, prints a one-line summary.  Exit status: 0 on
 success, 2 on domain errors (non-generating family, intersecting sets,
-invalid seeds, contract violations, malformed point CSV) and on usage
-errors, 1 on I/O or parse errors.  Runs are deterministic: the same
-arguments and inputs give byte-identical output.  JSON artifacts are the
-bytes of ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline,
+invalid seeds, contract violations, malformed point CSV or diffeo spec)
+and on usage errors, 1 on I/O or parse errors.  Runs are deterministic:
+the same arguments and inputs give byte-identical output.  JSON artifacts
+are the bytes of ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline,
 with every scalar written by the C encoder.  They are streamed to the
 output file a dict key or a float64-array row at a time, so an artifact is
 never one string in memory, and a float64 array with two axes (Mackey's
@@ -162,6 +162,9 @@ def _load_diffeo(spec, grid: int) -> CircleDiffeo:
     """Target/diffeo spec: identity, rotation, flow of a word, or CSV."""
     if spec is None or spec == "identity":
         return CircleDiffeo.identity(grid)
+    if not isinstance(spec, dict):
+        raise ValueError(f'diffeo spec must be null, "identity" or an object with a "kind" '
+                         f'(identity, rotation, word or csv), not {spec!r}')
     kind = spec.get("kind", "csv")
     if kind == "identity":
         return CircleDiffeo.identity(grid)

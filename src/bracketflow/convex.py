@@ -392,13 +392,16 @@ def separate(a_points, b: Union[ConvexBody, np.ndarray, Sequence]) -> Separation
     is oriented so the a-side sits below: ell(a) <= alpha < beta <= ell(b).
     Before returning, the certificate must pass alpha < beta and Wolfe
     optimality, beta - alpha >= |ell|^2 (1 - 1e-6); otherwise
-    InvalidCertificate is raised.
+    InvalidCertificate is raised.  Points with no coordinate raise
+    ValueError.
     """
     A = _finite(np.atleast_2d(np.asarray(a_points, dtype=float)), "a_points")
     B = b.vertices() if isinstance(b, ConvexBody) else \
         _finite(np.atleast_2d(np.asarray(b, dtype=float)), "b")
     if A.shape[1] != B.shape[1]:
         raise ValueError("dimension mismatch")
+    if A.shape[1] == 0:
+        raise ValueError("points must have at least one coordinate")
     v = _min_norm_point(A, B)
     dist = float(np.linalg.norm(v))
     if dist <= DEGENERACY_TOL:
@@ -612,14 +615,6 @@ class MackeyReport:
     mu: np.ndarray                 # pairwise gauges of differences
     tail_max: np.ndarray           # T[k] = max_{i,j >= k} mu_ij
     rate: Optional[float]          # geometric fit of the positive part of T
-
-    def to_json_dict(self) -> dict:
-        return {
-            "is_cauchy_prefix": self.is_cauchy_prefix,
-            "mu": self.mu.tolist(),
-            "tail_max": self.tail_max.tolist(),
-            "rate": self.rate,
-        }
 
 
 def mackey_cauchy_diagnostic(prefix, m_body: ConvexBody) -> MackeyReport:

@@ -14,11 +14,9 @@ float, in math.cos/math.sin arithmetic with no numpy call per stage.
 The float and array evaluators are also built once per field instance.
 Either way a row is bitwise the one-time call, and repeated applications
 of the same word are bitwise reproducible; ``apply_steps`` is the one loop
-that applies a word.  Between samples a lift is the trigonometric interpolant of its
-displacement, spectrally accurate for smooth diffeomorphisms.  It is
-evaluated from a power table of exp(i x): for m queries and K modes,
-O(m K) multiplies and one complex exp per query.  Its Newton inverse
-converges or raises ValueError.
+that applies a word.  A diffeomorphism is only ever known at its samples:
+words compose and invert exactly (``FlowWord.concat``, ``FlowWord.inverse``)
+and are replayed on any grid.
 """
 from __future__ import annotations
 
@@ -296,7 +294,7 @@ def integrate_flow(field: TrigPoly, t: float, theta0: float, *,
 
 
 # ---------------------------------------------------------------------------
-# monotone lifts and their trigonometric interpolant
+# monotone lifts
 
 def grid_angles(m: int) -> np.ndarray:
     """The m sample angles theta_i = 2 pi i / m."""
@@ -311,74 +309,6 @@ def is_monotone_lift(lift: np.ndarray):
     """
     ok = (lift[..., 1:] > lift[..., :-1]).all(-1) & (lift[..., -1] < lift[..., 0] + TWO_PI)
     return ok if ok.ndim else bool(ok)
-
-
-def _displacement_spectrum(lift: np.ndarray) -> np.ndarray:
-    m = lift.size
-    return np.fft.rfft(lift - grid_angles(m))
-
-
-def _powers(w: np.ndarray, count: int) -> np.ndarray:
-    """Rows w^0, ..., w^(count - 1), by repeated multiplication."""
-    out = np.empty((count, w.size), dtype=complex)
-    out[0] = 1.0
-    for j in range(1, count):
-        np.multiply(out[j - 1], w, out=out[j])
-    return out
-
-
-def _eval_spectrum(spec: np.ndarray, m: int, queries: np.ndarray) -> np.ndarray:
-    """Displacement interpolant at arbitrary angles, plus the angles.
-
-    The interpolant is Re sum_k c_k z^k with z = exp(i x), for the
-    scaled rfft coefficients c_k (1/m at k = 0 and at the even-m Nyquist
-    mode, 2/m elsewhere).  With B = ceil(sqrt(K + 1)) and L = ceil((K +
-    1) / B), the coefficients reshaped to an L x B matrix C give the sum
-    as sum_l (z^B)^l (C @ [z^0, ..., z^(B-1)])_l: one complex exp per
-    query and O(K) multiplies, with no argument k x to round.
-    """
-    n = spec.size
-    factors = np.full(n, 2.0 / m)
-    factors[0] = 1.0 / m
-    if m % 2 == 0 and n - 1 == m // 2:
-        factors[-1] = 1.0 / m
-    baby_size = math.isqrt(n - 1) + 1
-    giant_size = -(-n // baby_size)
-    coeffs = np.zeros(giant_size * baby_size, dtype=complex)
-    coeffs[:n] = factors * spec
-    z = np.exp(1j * queries)
-    baby = _powers(z, baby_size)
-    giant = _powers(baby[-1] * z, giant_size)
-    partial = coeffs.reshape(giant_size, baby_size) @ baby
-    return queries + (giant * partial).sum(axis=0).real
-
-
-def eval_lift(lift: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Interpolated lift at 1-d query angles (any real values)."""
-    return _eval_spectrum(_displacement_spectrum(lift), lift.size, queries)
-
-
-def invert_lift(lift: np.ndarray) -> np.ndarray:
-    """Grid samples of the inverse lift, by Newton on the interpolant.
-
-    Newton starts from 2 theta - lift (the displacement inverted to first
-    order) and, if that does not converge, once more from the
-    piecewise-linear inverse of the samples.  Raises ValueError if
-    neither start brings the residual below 1e-13.
-    """
-    m = lift.size
-    thetas = grid_angles(m)
-    spec = _displacement_spectrum(lift)
-    dspec = spec * 1j * np.arange(spec.size)  # derivative of the displacement
-    linear = thetas + np.interp(thetas, lift, thetas - lift, period=TWO_PI)
-    for x in (2.0 * thetas - lift, linear):
-        for _ in range(60):
-            fx = _eval_spectrum(spec, m, x) - thetas
-            slope = 1.0 + (_eval_spectrum(dspec, m, x) - x)
-            x = x - fx / np.maximum(slope, 0.05)
-            if float(np.max(np.abs(fx))) < 1e-13:
-                return x
-    raise ValueError("inverse lift did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -424,22 +354,6 @@ class CircleDiffeo:
 
     def displacement(self) -> np.ndarray:
         return self.lift - self.thetas
-
-    def __call__(self, x) -> np.ndarray:
-        """Evaluate the lift at arbitrary points (vectorized, periodic)."""
-        x = np.asarray(x, dtype=float)
-        return eval_lift(self.lift, x.ravel()).reshape(x.shape)
-
-    def compose(self, inner: "CircleDiffeo") -> "CircleDiffeo":
-        """self after inner: the diffeomorphism theta -> self(inner(theta))."""
-        if inner.grid_size != self.grid_size:
-            raise ValueError("grid mismatch")
-        return CircleDiffeo(self(inner.lift))
-
-    def inverse(self) -> "CircleDiffeo":
-        """Inverse diffeomorphism, sampled on the same grid; raises
-        ValueError if Newton on the interpolant does not converge."""
-        return CircleDiffeo(invert_lift(self.lift))
 
     def to_csv(self) -> str:
         lines = ["theta,lift"]

@@ -9,6 +9,13 @@ Phase 2 polishes greedily with single family steps over a geometric
 duration grid; each field flows all its candidate durations in one
 batched ``flow_states`` call.  The returned word is a checkable certificate: replaying
 it reproduces the reported error bit for bit.
+
+Only phase 1 looks between the samples of a lift: the logarithm's functional
+square roots and the remainder after a sweep use a private trigonometric
+interpolant of the lift's displacement, spectrally accurate for smooth
+diffeomorphisms.  It is evaluated from a power table of exp(i x): for m
+queries and K modes, O(m K) multiplies and one complex exp per query.  Its
+Newton inverse converges or raises ValueError.
 """
 from __future__ import annotations
 
@@ -21,8 +28,8 @@ import numpy as np
 
 from .closure import (ClosureReport, FieldFamily, GeneratedField, closure,
                       solve_combination, _basis_vector)
-from .flows import (TWO_PI, CircleDiffeo, FlowWord, apply_steps, apply_word, eval_lift,
-                    flow_states, grid_angles, invert_lift, is_monotone_lift)
+from .flows import (TWO_PI, CircleDiffeo, FlowWord, apply_steps, apply_word, flow_states,
+                    grid_angles, is_monotone_lift)
 from .trig_fields import TrigPoly
 
 
@@ -75,6 +82,76 @@ def diffeo_distance(phi: CircleDiffeo, psi: CircleDiffeo) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the lift interpolant: the trigonometric interpolant of a lift's displacement
+
+def _displacement_spectrum(lift: np.ndarray) -> np.ndarray:
+    return np.fft.rfft(lift - grid_angles(lift.size))
+
+
+def _powers(w: np.ndarray, count: int) -> np.ndarray:
+    """Rows w^0, ..., w^(count - 1), by repeated multiplication."""
+    out = np.empty((count, w.size), dtype=complex)
+    out[0] = 1.0
+    for j in range(1, count):
+        np.multiply(out[j - 1], w, out=out[j])
+    return out
+
+
+def _eval_spectrum(spec: np.ndarray, m: int, queries: np.ndarray) -> np.ndarray:
+    """Displacement interpolant at arbitrary angles, plus the angles.
+
+    The interpolant is Re sum_k c_k z^k with z = exp(i x), for the
+    scaled rfft coefficients c_k (1/m at k = 0 and at the even-m Nyquist
+    mode, 2/m elsewhere).  With B = ceil(sqrt(K + 1)) and L = ceil((K +
+    1) / B), the coefficients reshaped to an L x B matrix C give the sum
+    as sum_l (z^B)^l (C @ [z^0, ..., z^(B-1)])_l: one complex exp per
+    query and O(K) multiplies, with no argument k x to round.
+    """
+    n = spec.size
+    factors = np.full(n, 2.0 / m)
+    factors[0] = 1.0 / m
+    if m % 2 == 0 and n - 1 == m // 2:
+        factors[-1] = 1.0 / m
+    baby_size = math.isqrt(n - 1) + 1
+    giant_size = -(-n // baby_size)
+    coeffs = np.zeros(giant_size * baby_size, dtype=complex)
+    coeffs[:n] = factors * spec
+    z = np.exp(1j * queries)
+    baby = _powers(z, baby_size)
+    giant = _powers(baby[-1] * z, giant_size)
+    partial = coeffs.reshape(giant_size, baby_size) @ baby
+    return queries + (giant * partial).sum(axis=0).real
+
+
+def _eval_lift(lift: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Interpolated lift at 1-d query angles (any real values)."""
+    return _eval_spectrum(_displacement_spectrum(lift), lift.size, queries)
+
+
+def _invert_lift(lift: np.ndarray) -> np.ndarray:
+    """Grid samples of the inverse lift, by Newton on the interpolant.
+
+    Newton starts from 2 theta - lift (the displacement inverted to first
+    order) and, if that does not converge, once more from the
+    piecewise-linear inverse of the samples.  Raises ValueError if
+    neither start brings the residual below 1e-13.
+    """
+    m = lift.size
+    thetas = grid_angles(m)
+    spec = _displacement_spectrum(lift)
+    dspec = spec * 1j * np.arange(spec.size)  # derivative of the displacement
+    linear = thetas + np.interp(thetas, lift, thetas - lift, period=TWO_PI)
+    for x in (2.0 * thetas - lift, linear):
+        for _ in range(60):
+            fx = _eval_spectrum(spec, m, x) - thetas
+            slope = 1.0 + (_eval_spectrum(dspec, m, x) - x)
+            x = x - fx / np.maximum(slope, 0.05)
+            if float(np.max(np.abs(fx))) < 1e-13:
+                return x
+    raise ValueError("inverse lift did not converge")
+
+
+# ---------------------------------------------------------------------------
 # logarithm profile of a diffeomorphism
 
 def _sqrt_lift(lift_phi: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -83,7 +160,7 @@ def _sqrt_lift(lift_phi: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     damping = 1.0
     best = math.inf
     for _ in range(200):
-        residual = lift_phi - eval_lift(psi, psi)
+        residual = lift_phi - _eval_lift(psi, psi)
         res = float(np.max(np.abs(residual)))
         if res < 1e-13 or best - res < 1e-16:  # also ends at a residual that does not fall
             break
@@ -291,7 +368,7 @@ def steer(problem: SteeringProblem) -> SteeringResult:
             if steps:
                 # what remains: rel with rel(current(x)) = target(x)
                 try:
-                    rel = CircleDiffeo(eval_lift(target_lift, invert_lift(current)))
+                    rel = CircleDiffeo(_eval_lift(target_lift, _invert_lift(current)))
                 except ValueError:  # no converged inverse, or a non-monotone remainder
                     break
                 u = flow_logarithm(rel)

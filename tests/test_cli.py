@@ -127,7 +127,9 @@ def test_minkowski_separate_cone_mackey_commands(tmp_path):
     out = tmp_path / "mackey.out"
     assert main(["mackey", "--input", inp, "--output", str(out)]) == 0
     report = mackey_cauchy_diagnostic(np.array(prefix), ConvexBody.from_json_dict(box))
-    assert out.read_text(encoding="utf-8") == reference_dump(report.to_json_dict())
+    expected = {"is_cauchy_prefix": report.is_cauchy_prefix, "mu": report.mu.tolist(),
+                "tail_max": report.tail_max.tolist(), "rate": report.rate}
+    assert out.read_text(encoding="utf-8") == reference_dump(expected)
     assert json.loads(out.read_text())["is_cauchy_prefix"] is True
 
 
@@ -162,6 +164,17 @@ def test_domain_errors_exit_two(tmp_path, capsys):
                     {"fields": [{"label": "c", "field": seed.to_json_dict()}]})
         assert main(["closure", "--input", inp, "--cap", "-1"]) == 2
         assert "max_mode_cap must be >= 0" in capsys.readouterr().err
+
+    for command, bad_spec in (("steer", {"target": "rotation"}),
+                              ("flow", {"field": TrigPoly.zero().to_json_dict(), "t": 1.0,
+                                        "diffeo": 3})):
+        inp = write(tmp_path, "spec.json", bad_spec)
+        assert main([command, "--input", inp]) == 2
+        assert "ValueError: diffeo spec must be" in capsys.readouterr().err
+
+    inp = write(tmp_path, "sep.json", {"A": [[]], "B": {"points": [[], []]}})
+    assert main(["separate", "--input", inp]) == 2
+    assert "points must have at least one coordinate" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, setting, value", [

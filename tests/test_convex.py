@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import linprog
 
 from bracketflow import convex
-from bracketflow.cli import main
+from bracketflow.cli import _dump_json, main
 from bracketflow.convex import (ConvexBody, InvalidCertificate, InvalidSeed, SetsIntersect,
                                 cone_extremal_point, mackey_cauchy_diagnostic,
                                 minkowski, separate, symmetrize)
@@ -61,6 +61,8 @@ def test_gauge_matches_scaling_oracle():
 def test_gauge_dimension_mismatch():
     with pytest.raises(ValueError):
         minkowski(ConvexBody.unit_box(2), [1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        separate(np.zeros((1, 0)), np.zeros((2, 0)))
 
 
 def test_quasi_seminorm_axioms_randomized():
@@ -646,8 +648,10 @@ def test_mackey_short_prefixes():
         assert report.mu.shape == (k, k) and report.mu.tobytes() == mu.tobytes()
         assert report.tail_max.shape == (k,) and report.tail_max.tobytes() == tail.tobytes()
         assert report.is_cauchy_prefix and report.rate is None
-    assert report.to_json_dict() == {"is_cauchy_prefix": True, "mu": [[0.0, 0.5], [0.5, 0.0]],
-                                     "tail_max": [0.5, 0.0], "rate": None}
+    # the report as the CLI writes it
+    assert json.loads(_dump_json(vars(report))) == {
+        "is_cauchy_prefix": True, "mu": [[0.0, 0.5], [0.5, 0.0]], "tail_max": [0.5, 0.0],
+        "rate": None}
 
 
 def _separation_cases(n):

@@ -13,8 +13,10 @@ benchmark run does). Run from the repository root:
 It prints one line per run, flagged ``!`` when the run is not ``correct`` or
 reports failed operations, then one line per metric of ``BENCHMARK.json``:
 both medians, both interquartile ranges, the change in the medians, the
-number of pairs in which the change is better, and whether the medians
-differ by more than the parent's IQR.
+number of pairs in which the change is better, whether the medians
+differ by more than the parent's IQR, and the no-regression verdict: whether
+the change's median is worse than the parent's by no more than the metric's
+relative ``bound``.
 """
 from __future__ import annotations
 
@@ -71,10 +73,13 @@ def main(argv=None) -> int:
             cv = [r["metrics"][name]["value"] for r in runs["change"]]
             wins = sum((c < q) if lower else (c > q) for q, c in zip(pv, cv))
             pm, cm = statistics.median(pv), statistics.median(cv)
+            worse = (cm - pm) if lower else (pm - cm)
             print(f"{workload} {name}: parent {pm:.6g} (IQR {iqr(pv):.3g}) "
                   f"change {cm:.6g} (IQR {iqr(cv):.3g}) {100 * (cm / pm - 1):+.1f}%, "
                   f"change better in {wins}/{args.pairs}, "
-                  f"|median difference| > parent IQR: {abs(cm - pm) > iqr(pv)}", flush=True)
+                  f"|median difference| > parent IQR: {abs(cm - pm) > iqr(pv)}, "
+                  f"within bound {100 * metric['bound']:g}%: "
+                  f"{worse <= metric['bound'] * abs(pm)}", flush=True)
         for side in ("parent", "change"):
             failed = sum(r["failed"] for r in runs[side])
             attempted = sum(r["attempted"] for r in runs[side])
