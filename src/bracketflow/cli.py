@@ -6,12 +6,12 @@ success, 2 on domain errors (non-generating family, intersecting sets,
 invalid seeds, contract violations, malformed point CSV or diffeo spec)
 and on usage errors, 1 on I/O or parse errors.  Runs are deterministic:
 the same arguments and inputs give byte-identical output.  JSON artifacts
-are the bytes of ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline,
-with every scalar written by the C encoder.  They are streamed to the
-output file a dict key or a float64-array row at a time, so an artifact is
-never one string in memory, and a float64 array with two axes (Mackey's
-gauges) is written from the array itself.  The argument parser is built
-once per process.
+are the bytes of ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline.
+They are streamed to the output file a dict key or a float64-array row at
+a time, so an artifact is never one string in memory, and a float64 array
+with two axes (Mackey's gauges) is written from the array itself; any
+other value is one ``json.dumps`` call.  The argument parser is built once
+per process.
 
 Every subcommand takes ``--input`` (required) and ``--output``.  Beyond
 those, each accepts only the flags it reads; any other flag is a usage
@@ -74,10 +74,9 @@ def _dump_json(obj) -> str:
     the pieces that ``_write_json`` writes, joined.
 
     A numpy array reached from ``obj`` through dict values alone is written
-    as its ``tolist()``.  With an indent, ``json`` runs its pure-Python
-    encoder.  Here only the nesting is written in Python: a list of scalars
-    is one C-encoder call, and a float64 array with two axes one call for
-    its distinct values.
+    as its ``tolist()``, and a float64 one with two axes row by row, with
+    one C-encoder call for its distinct values.  Every other value is one
+    ``json.dumps`` call (see ``_encode``).
     """
     return "".join(_pieces(obj, "")) + "\n"
 
@@ -107,30 +106,16 @@ def _pieces(obj, pad: str):
 
 
 def _encode(obj, pad: str) -> str:
-    """The text of a value in one string.  A dict nested in a list is built
-    here rather than from ``_pieces``, which would cost a generator per value
-    on the many small dicts of a steering word."""
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        if not all(isinstance(key, str) for key in obj):  # json's own key coercion
-            return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
-        return _block([f"{json.dumps(key)}: {_encode(obj[key], inner)}" for key in sorted(obj)],
-                      pad, "{}")
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if any(isinstance(v, (list, tuple, dict)) for v in obj):
-            return _block([_encode(v, inner) for v in obj], pad)
-        return _block([json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]], pad)
-    return json.dumps(obj)
+    """The text of a value at nesting ``pad`` in one string:
+    ``json.dumps(obj, indent=2, sort_keys=True)`` with every line after the
+    first indented by ``pad``."""
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
-def _block(items, pad: str, brackets: str = "[]") -> str:
+def _block(items, pad: str) -> str:
     """Encoded items one per line, one level deeper than ``pad``, in brackets."""
     inner = pad + "  "
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
 
 
 def _load_points(spec) -> np.ndarray:

@@ -6,10 +6,11 @@ body is exactly max(0, max_i <h_i, x>), which makes every functional
 here finitely checkable.
 
 Each body is checked bounded by one checked non-negative least-squares
-certificate (Gordan-Stiemke, solved by Lawson-Hanson NNLS).  scipy is
-imported by the first boundedness solve or hull, not with the module:
-its optimizer and qhull stacks are the larger part of the package's
-import time, and the algebra and steering commands never use them.
+certificate (Gordan-Stiemke), solved by the Lawson-Hanson NNLS in this
+module.  scipy serves only qhull: scipy.spatial is imported by the first
+hull (``vertices()`` or ``from_vertices``), not with the module, since its
+stack is the larger part of the package's import time and only the hull
+commands need it.  No command imports scipy.optimize.
 Separation runs Wolfe's min-norm-point algorithm on support points of
 the two sets, so the Minkowski difference is never built, and checks its
 certificate before returning it.  Gauges of many differences and cone
@@ -19,11 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 DEGENERACY_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 class SetsIntersect(Exception):
@@ -47,10 +50,114 @@ def _finite(arr: np.ndarray, what: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # bodies
 
-def nnls(*args, **kwargs):
-    """``scipy.optimize.nnls``; scipy.optimize is imported on the first call."""
-    from scipy.optimize import nnls as scipy_nnls
-    return scipy_nnls(*args, **kwargs)
+def _orthogonalize(basis: list, proj: list, v: list) -> Optional[tuple]:
+    """(q, R column, <q, proj>) that extend the basis by column v (modified
+    Gram-Schmidt), or None when v depends on the basis by Lawson and
+    Hanson's test: 0.01 times the norm of its part off the span is lost
+    when added to the norm of its part in it."""
+    r = []
+    for q, _, _ in basis:
+        t = sum(map(mul, q, v))
+        v = [vi - t * qi for vi, qi in zip(v, q)]
+        r.append(t)
+    rjj, unorm = math.hypot(*v), math.hypot(*r)
+    if not unorm + 0.01 * rjj - unorm > 0.0:
+        return None
+    q = [vi / rjj for vi in v]
+    return q, r + [rjj], sum(map(mul, q, proj))
+
+
+def _push(basis: list, proj: list, column: tuple) -> list:
+    """Append the column to the basis; returns proj less its part along q."""
+    basis.append(column)
+    q, _, c = column
+    return [pi - c * qi for pi, qi in zip(proj, q)]
+
+
+def nnls(A, b) -> tuple[np.ndarray, float]:
+    """(x, |Ax - b|_2) for the x >= 0 that minimizes |Ax - b|_2.
+
+    Lawson and Hanson's active-set method (Solving Least Squares Problems,
+    1974, ch. 23) with their three tests for the column j that enters the
+    passive set P: its dual w_j = <a_j, b - Ax> is the largest and above
+    rounding level, it is independent of A_P (see _orthogonalize), and
+    its least-squares coefficient is positive.  The least-squares problems
+    on A_P are solved through a modified Gram-Schmidt factorization that
+    grows by one column per entry and is rebuilt when a coefficient
+    reaches 0 and its column leaves P.  P never holds more than m
+    columns, so for the few rows of a boundedness problem each step is a
+    few dozen float operations and one matrix-vector product.  Raises
+    RuntimeError when 3n entries to P have not solved it.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if A.ndim != 2 or b.shape != A.shape[:1]:
+        raise ValueError("nnls needs an m x n matrix and a length-m vector")
+    m, n = A.shape
+    at = A.T
+    cols, rhs = at.tolist(), b.tolist()
+    absa = np.abs(A)
+    colmax, col1 = absa.max(axis=0, initial=0.0).tolist(), absa.sum(axis=0).tolist()
+    bsum = sum(map(abs, rhs))
+    passive: list[int] = []
+    xp: list[float] = []  # x on P
+    basis: list = []
+    proj = rhs  # b less its projection on span(A_P): b - Ax once x_P solves it
+    for entries in range(3 * n + 1):
+        if len(passive) == min(m, n):
+            break
+        if entries == 3 * n:
+            raise RuntimeError("nnls: no solution after 3n entries to the passive set")
+        w = at @ proj
+        for i in passive:
+            w[i] = 0.0
+        # w_j up to (m + |P|) eps max|a_j| (|b|_1 + sum_p x_p |a_p|_1), twice
+        # a bound on the rounding error of A^T (b - A_P x_P), counts as 0
+        tol = (m + len(passive)) * _EPS * (bsum + sum(xi * col1[i] for i, xi in zip(passive, xp)))
+        column = None
+        while column is None:
+            j = int(w.argmax())
+            if not w[j] > 0.0:
+                break
+            if w[j] > tol * colmax[j]:
+                column = _orthogonalize(basis, proj, cols[j])
+                if column is not None and not column[2] / column[1][-1] > 0.0:
+                    column = None
+            w[j] = 0.0
+        if column is None:
+            break
+        proj = _push(basis, proj, column)
+        passive.append(j)
+        xp.append(0.0)
+        while True:
+            z = [c for _, _, c in basis]  # back substitution: R z = Q^T b
+            for k in range(len(z) - 1, -1, -1):
+                rk = basis[k][1]
+                zk = z[k] = z[k] / rk[k]
+                for l in range(k):
+                    z[l] -= rk[l] * zk
+            if min(z, default=1.0) > 0.0:
+                break
+            # move x towards z until a coefficient reaches 0; it leaves P,
+            # with any that rounding took to 0 or below on the way
+            alpha, out = min((xi / (xi - zi), p)
+                             for p, (xi, zi) in enumerate(zip(xp, z)) if zi <= 0.0)
+            xp = [xi + alpha * (zi - xi) for xi, zi in zip(xp, z)]
+            xp[out] = 0.0
+            kept = [(i, xi) for i, xi in zip(passive, xp) if xi > 0.0]
+            passive, xp, basis, proj = [], [], [], rhs
+            for i, xi in kept:
+                column = _orthogonalize(basis, proj, cols[i])
+                if column is not None:
+                    proj = _push(basis, proj, column)
+                    passive.append(i)
+                    xp.append(xi)
+        xp = z
+    x = [0.0] * n
+    for i, xi in zip(passive, xp):
+        x[i] = xi
+        rhs = [ri - xi * ai for ri, ai in zip(rhs, cols[i])]
+    return np.array(x), math.hypot(*rhs)
 
 
 def linprog(*args, **kwargs):
@@ -392,8 +499,8 @@ def separate(a_points, b: Union[ConvexBody, np.ndarray, Sequence]) -> Separation
     is oriented so the a-side sits below: ell(a) <= alpha < beta <= ell(b).
     Before returning, the certificate must pass alpha < beta and Wolfe
     optimality, beta - alpha >= |ell|^2 (1 - 1e-6); otherwise
-    InvalidCertificate is raised.  Points with no coordinate raise
-    ValueError.
+    InvalidCertificate is raised.  Points with no coordinate and an empty
+    point set on either side raise ValueError.
     """
     A = _finite(np.atleast_2d(np.asarray(a_points, dtype=float)), "a_points")
     B = b.vertices() if isinstance(b, ConvexBody) else \
@@ -402,6 +509,8 @@ def separate(a_points, b: Union[ConvexBody, np.ndarray, Sequence]) -> Separation
         raise ValueError("dimension mismatch")
     if A.shape[1] == 0:
         raise ValueError("points must have at least one coordinate")
+    if len(A) == 0 or len(B) == 0:
+        raise ValueError("point sets must be nonempty")
     v = _min_norm_point(A, B)
     dist = float(np.linalg.norm(v))
     if dist <= DEGENERACY_TOL:

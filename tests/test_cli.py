@@ -276,12 +276,12 @@ import json, sys
 import bracketflow
 from bracketflow import cli, convex
 
-def lp_stacks():
-    return sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.spatial")))
+def loaded(stack):
+    return sorted(m for m in sys.modules if m == stack or m.startswith(stack + "."))
 
-for argv in json.loads(sys.argv[1]):
+algebra, gauge, separation = map(json.loads, sys.argv[1:])
+for argv in algebra:
     assert cli.main(argv) == 0, argv
-assert not lp_stacks(), lp_stacks()[:3]
 
 solves = []
 wrapped = convex.nnls
@@ -289,16 +289,20 @@ def counted(*args, **kwargs):
     solves.append(1)
     return wrapped(*args, **kwargs)
 convex.nnls = counted
-assert cli.main(json.loads(sys.argv[2])) == 0
+assert cli.main(gauge) == 0
 assert solves == [1] and convex.nnls is counted, solves
-assert {"scipy.optimize", "scipy.spatial"} <= set(lp_stacks()), lp_stacks()
+assert not loaded("scipy.optimize") + loaded("scipy.spatial"), loaded("scipy")[:3]
+
+assert cli.main(separation) == 0
+assert loaded("scipy.spatial") and not loaded("scipy.optimize"), loaded("scipy.optimize")[:3]
 """
 
 
-def test_scipy_loads_only_with_the_first_convex_operation(tmp_path):
-    # bracket, closure and steer never import scipy's optimizer or qhull
-    # stacks; the first boundedness solve does, through convex.nnls, which a
-    # wrapper set before it still sees
+def test_scipy_spatial_loads_only_with_the_first_hull(tmp_path):
+    # bracket, closure, steer and a gauge (whose body's boundedness solve,
+    # the one counted call of convex.nnls, runs in the package) import
+    # neither scipy's optimizer nor its qhull stack; a separation against a
+    # body enumerates its vertices and loads qhull, still not the optimizer
     pair = write(tmp_path, "pair.json", {"v": TrigPoly.sine(1).to_json_dict(),
                                         "w": TrigPoly.cosine(1).to_json_dict()})
     family = write(tmp_path, "family.json", family_json())
@@ -306,10 +310,12 @@ def test_scipy_loads_only_with_the_first_convex_operation(tmp_path):
                                             "grid": 128, "budget": 150})
     box = {"dim": 2, "halfspaces": [[1, 0], [-1, 0], [0, 1], [0, -1]]}
     gauge = write(tmp_path, "mink.json", {"body": box, "x": [2.0, 0.0]})
+    apart = write(tmp_path, "sep.json", {"A": [[3.0, 0.0], [4.0, 1.0]], "B": {"body": box}})
     algebra = [["bracket", "--input", pair], ["closure", "--input", family, "--cap", "3"],
                ["steer", "--input", target, "--epsilon", "0.05"]]
     proc = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(algebra),
-                           json.dumps(["minkowski", "--input", gauge])],
+                           json.dumps(["minkowski", "--input", gauge]),
+                           json.dumps(["separate", "--input", apart])],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 

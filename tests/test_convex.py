@@ -63,6 +63,10 @@ def test_gauge_dimension_mismatch():
         minkowski(ConvexBody.unit_box(2), [1.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="at least one coordinate"):
         separate(np.zeros((1, 0)), np.zeros((2, 0)))
+    with pytest.raises(ValueError, match="nonempty"):
+        separate(np.zeros((0, 2)), np.ones((2, 2)))
+    with pytest.raises(ValueError, match="nonempty"):
+        separate(np.ones((2, 2)), np.zeros((0, 2)))
 
 
 def test_quasi_seminorm_axioms_randomized():
@@ -615,6 +619,58 @@ def test_a_wrong_certificate_never_builds_a_body(monkeypatch, corrupt):
     with pytest.raises(ValueError, match="do not bound"):
         ConvexBody(normals)
     assert len(calls) == 1
+
+
+def _nnls_problems():
+    """Seeded (A, b): 1 to 6 rows, 1 to 6m + 1 columns; generic,
+    boundedness-shaped (b = -A 1), rank-deficient, column-scaled and
+    duplicated-column problems, and the 2^-20 and 2^-30 thin wedges in two
+    and three dimensions, bounded and not."""
+    rng = np.random.default_rng(24)
+    problems = []
+    for k in range(400):
+        m = int(rng.integers(1, 7))
+        n = int(rng.integers(1, 6 * m + 2))
+        rank = int(rng.integers(1, m)) if k % 4 == 2 and m > 1 else m
+        A = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n)) if rank < m \
+            else rng.normal(size=(m, n))
+        if k % 4 == 3:
+            A *= np.exp(3.0 * rng.normal(size=n))
+        if k % 8 == 1:
+            A = np.hstack([A, A[:, :1 + n // 2]])  # duplicated columns
+        b = -A.sum(axis=1) if k % 2 else rng.normal(size=m)
+        problems.append((A, b))
+    for d in (2.0 ** -20, 2.0 ** -30):
+        for normals in ([[1.0, d], [-1.0, d], [0.0, -1.0]],
+                        [[1.0, d, 0.0], [-1.0, d, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]],
+                        [[1.0, d, 0.0], [-1.0, d, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0],
+                         [0.0, 0.0, -1.0]]):
+            A = np.array(normals).T
+            problems.append((A, -A.sum(axis=1)))
+    return problems
+
+
+def test_nnls_meets_the_kkt_conditions_and_matches_scipy():
+    from scipy.optimize import nnls as scipy_nnls
+    for A, b in _nnls_problems():
+        x, rho = convex.nnls(A, b)
+        assert x.shape == (A.shape[1],) and np.all(x >= 0)
+        r = b - A @ x
+        # size of the rounding error in forming b - Ax, and in A^T r per column
+        size = np.abs(b).sum() + np.abs(A).sum(axis=0) @ x
+        tol = 1e-12 * np.abs(A).max(axis=0) * size
+        w, on = A.T @ r, x > 0
+        assert np.all(w[~on] <= tol[~on]) and np.all(np.abs(w[on]) <= tol[on])
+        assert rho == pytest.approx(np.linalg.norm(r), rel=1e-12, abs=1e-15 * size)
+        # scipy's residual recomputed from its x: on some rank-deficient
+        # problems scipy 1.17 returns an x that fails the conditions above,
+        # with a reported norm of 0.0, and there only ours <= its is asserted
+        x_s = scipy_nnls(A, b)[0]
+        rho_s = float(np.linalg.norm(b - A @ x_s))
+        slack = 1e-9 * max(rho_s, np.abs(b).sum() + np.abs(A).sum(axis=0) @ (x + x_s))
+        assert rho <= rho_s + slack
+        if np.linalg.matrix_rank(A) == min(A.shape):
+            assert rho >= rho_s - slack
 
 
 def test_bodies_in_one_and_six_dimensions_accepted():
