@@ -9,9 +9,12 @@ the same arguments and inputs give byte-identical output.  JSON artifacts
 are the bytes of ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline.
 They are streamed to the output file a dict key or a float64-array row at
 a time, so an artifact is never one string in memory, and a float64 array
-with two axes (Mackey's gauges) is written from the array itself; any
-other value is one ``json.dumps`` call.  The argument parser is built once
-per process.
+with two axes (Mackey's gauges) is written from the array itself, one
+C-encoder call per row.  When it equals its transpose bit for bit, as the
+gauge matrix does, each row formats only its entries from the diagonal on
+and takes the others from the rows above it, so each value is formatted
+once and its text is dropped once its mirror is written.  Any other value
+is one ``json.dumps`` call.  The argument parser is built once per process.
 
 Every subcommand takes ``--input`` (required) and ``--output``.  Beyond
 those, each accepts only the flags it reads; any other flag is a usage
@@ -74,9 +77,9 @@ def _dump_json(obj) -> str:
     the pieces that ``_write_json`` writes, joined.
 
     A numpy array reached from ``obj`` through dict values alone is written
-    as its ``tolist()``, and a float64 one with two axes row by row, with
-    one C-encoder call for its distinct values.  Every other value is one
-    ``json.dumps`` call (see ``_encode``).
+    as its ``tolist()``, and a float64 one with two axes row by row (see
+    ``_pieces``).  Every other value is one ``json.dumps`` call (see
+    ``_encode``).
     """
     return "".join(_pieces(obj, "")) + "\n"
 
@@ -84,7 +87,14 @@ def _dump_json(obj) -> str:
 def _pieces(obj, pad: str):
     """The text of ``obj`` at nesting ``pad``, in pieces: a dict with string
     keys goes key by key and a nonempty float64 array with two axes row by
-    row; any other value is one piece, from ``_encode``."""
+    row; any other value is one piece, from ``_encode``.
+
+    Row i of an array that equals its transpose bit for bit (so -0.0 and
+    0.0 differ, and NaNs match by payload) formats only its entries j >= i
+    and takes each entry j < i from the text row j kept of it, dropping that
+    text; at most about a quarter of the entries' texts are alive at once.
+    Any other array formats each row whole.
+    """
     inner = pad + "  "
     if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
         for n, key in enumerate(sorted(obj)):
@@ -96,13 +106,24 @@ def _pieces(obj, pad: str):
             and obj.size):
         yield _encode(obj.tolist() if isinstance(obj, np.ndarray) else obj, pad)
         return
-    # each distinct float (by bit pattern, so -0.0 and 0.0 differ) is formatted once
-    distinct, index = np.unique(obj.view(np.int64).ravel(), return_inverse=True)
-    text = np.array(json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", "),
-                    dtype=object)
-    for n, row in enumerate(index.reshape(obj.shape)):
-        yield f"{',' if n else '['}\n{inner}" + _block(text[row].tolist(), inner)
+    bits = obj.view(np.int64)
+    symmetric = obj.shape[0] == obj.shape[1] and np.array_equal(bits, bits.T)
+    kept = []  # kept[j]: row j's text for the columns after the current row, last first
+    for i, row in enumerate(obj):
+        if symmetric:
+            upper = _floats(row[i:])
+            text = list(map(list.pop, kept)) + upper  # each pop drops a mirrored entry
+            kept.append(upper[:0:-1])
+        else:
+            text = _floats(row)
+        yield f"{',' if i else '['}\n{inner}" + _block(text, inner)
     yield f"\n{pad}]"
+
+
+def _floats(values: np.ndarray) -> list:
+    """The JSON text of each float in a nonempty 1-d array, from one
+    C-encoder call (``float.__repr__``, with ``NaN`` and ``Infinity``)."""
+    return json.dumps(values.tolist())[1:-1].split(", ")
 
 
 def _encode(obj, pad: str) -> str:

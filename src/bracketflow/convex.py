@@ -175,6 +175,17 @@ def linprog(*args, **kwargs):
 _CERTIFICATE_TOL = 1e-12
 
 
+def _full_column_rank(normals: np.ndarray) -> bool:
+    """``np.linalg.matrix_rank(normals) >= n`` for an m x n matrix, from the
+    same singular values and numpy's default tolerance S[0] * max(m, n) * eps,
+    without matrix_rank's wrapper, which costs as much as the SVD itself."""
+    m, n = normals.shape
+    if m < n:
+        return False
+    s = np.linalg.svd(normals, compute_uv=False)
+    return bool(s[n - 1] > s[0] * m * _EPS)
+
+
 def _bounded_by_nnls(normals: np.ndarray) -> bool:
     """{x : Nx <= 1} is bounded iff the normals positively span R^n.
 
@@ -186,8 +197,7 @@ def _bounded_by_nnls(normals: np.ndarray) -> bool:
     lambda is an exact certificate for normals moved by at most that
     fraction of max|N|.
     """
-    n = normals.shape[1]
-    if np.linalg.matrix_rank(normals) < n:
+    if not _full_column_rank(normals):
         return False
     nt = normals.T
     lam = 1.0 + nnls(nt, -nt.sum(axis=1))[0]
@@ -204,7 +214,7 @@ class ConvexBody:
 
     def __post_init__(self):
         arr = np.atleast_2d(np.array(self.normals, dtype=float))
-        if arr.ndim != 2 or arr.shape[0] < 1:
+        if arr.ndim != 2 or 0 in arr.shape:
             raise ValueError("normals must form a nonempty 2-d array")
         if not np.all(np.isfinite(arr)):
             raise ValueError("normals must be finite")
@@ -306,19 +316,29 @@ class ConvexBody:
     @staticmethod
     def from_json_dict(data: dict) -> "ConvexBody":
         """Body of the ``halfspaces``; a ``vertices`` entry is ignored, the
-        vertices are always derived from the half-spaces."""
+        vertices are always derived from the half-spaces.  ``dim`` must equal
+        their width; a bool or a fractional number raises ``ValueError``
+        (``3.0`` reads as 3), as for the CLI's integer settings."""
+        dim = data["dim"]
+        if isinstance(dim, bool) or (isinstance(dim, float) and not dim.is_integer()):
+            raise ValueError(f"dim must be an integer, not {dim!r}")
         body = ConvexBody(np.array(data["halfspaces"], dtype=float))
-        if body.dim != int(data["dim"]):
+        if body.dim != int(dim):
             raise ValueError("dim field does not match half-space width")
         return body
 
 
 def minkowski(body: ConvexBody, x) -> float:
-    """Gauge inf{t > 0 : x in t*body} = max(0, max_i <h_i, x>)."""
+    """Gauge inf{t > 0 : x in t*body} = max(0, max_i <h_i, x>); a product
+    <h_i, x> that overflows raises ``ValueError``."""
     x = _finite(np.asarray(x, dtype=float), "x")
     if x.shape != (body.dim,):
         raise ValueError("dimension mismatch")
-    return float(max(0.0, float(np.max(body.normals @ x))))
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below, by name
+        top = float(np.max(body.normals @ x))
+    if not math.isfinite(top):  # inf, or NaN from inf - inf, which max(0, .) reads as 0
+        raise ValueError("the gauge overflows")
+    return max(0.0, top)
 
 
 def symmetrize(body: ConvexBody) -> ConvexBody:
@@ -731,7 +751,8 @@ def mackey_cauchy_diagnostic(prefix, m_body: ConvexBody) -> MackeyReport:
 
     mu_ij is the smallest scalar with x_i - x_j in mu * M (the gauge of
     the difference).  The prefix passes when the tail maxima strictly
-    decrease until they reach zero.
+    decrease until they reach zero.  A difference or a product <h, x_i - x_j>
+    that overflows raises ``ValueError``, as ``minkowski`` does.
     """
     pts = _finite(np.atleast_2d(np.asarray(prefix, dtype=float)), "prefix")
     if not m_body.is_symmetric():
@@ -744,10 +765,17 @@ def mackey_cauchy_diagnostic(prefix, m_body: ConvexBody) -> MackeyReport:
     # Row by row, so the temporaries scale with k, not with the k^2/2 pairs.
     # Stacked matrix-vector products give the same floats as minkowski pair
     # by pair; the gemm form (pts[i] - pts[i+1:]) @ N.T rounds differently.
-    for i in range(k - 1):
-        top = np.matmul(m_body.normals, (pts[i] - pts[i + 1:])[:, :, None])[:, :, 0].max(axis=1)
-        mu[i, i + 1:] = mu[i + 1:, i] = np.where(top > 0.0, top, 0.0)  # max(0.0, .), never -0.0
-        row_max[i] = mu[i, i + 1:].max()
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below, by name
+        for i in range(k - 1):
+            top = np.matmul(m_body.normals,
+                            (pts[i] - pts[i + 1:])[:, :, None])[:, :, 0].max(axis=1)
+            # max(0.0, .), never -0.0, and a NaN stays NaN
+            mu[i, i + 1:] = mu[i + 1:, i] = np.where(top <= 0.0, 0.0, top)
+            row_max[i] = mu[i, i + 1:].max()
+    # every pair is in its row's maximum: an overflowed difference (0 * inf is NaN)
+    # or product (inf, or inf - inf) shows there
+    if not np.isfinite(row_max).all():
+        raise ValueError("a gauge of a difference of prefix points overflows")
     # T[k] = max over k <= i < j of mu_ij: reverse running max of row maxima
     tail = np.maximum.accumulate(row_max[::-1])[::-1]
     ok = True

@@ -176,6 +176,31 @@ def test_domain_errors_exit_two(tmp_path, capsys):
     assert main(["separate", "--input", inp]) == 2
     assert "points must have at least one coordinate" in capsys.readouterr().err
 
+    # a body's dim follows the integer-setting rule: 3.0 reads as 3
+    box3 = np.vstack([np.eye(3), -np.eye(3)]).tolist()
+    for dim, halfspaces, x, code in ((3.7, box3, [0.5, 0.0, 0.0], 2),
+                                     (True, [[1], [-1]], [0.5], 2),
+                                     (3.0, box3, [0.5, 0.0, 0.0], 0)):
+        inp = write(tmp_path, "mink.json", {"body": {"dim": dim, "halfspaces": halfspaces},
+                                            "x": x})
+        assert main(["minkowski", "--input", inp]) == code
+        assert ("dim must be an integer" in capsys.readouterr().err) == bool(code)
+    for halfspaces in ([[]], [[], []]):
+        inp = write(tmp_path, "mink.json", {"body": {"dim": 0, "halfspaces": halfspaces},
+                                            "x": []})
+        assert main(["minkowski", "--input", inp]) == 2
+        assert "normals must form a nonempty 2-d array" in capsys.readouterr().err
+
+    # x_0 - x_1 overflows: no artifact, not a gauge of 0.0 for that pair
+    inp = write(tmp_path, "mackey.json",
+                {"prefix": [[1e308, 0, 0], [-1e308, 0, 0], [0, 0, 0]],
+                 "M": {"dim": 3, "halfspaces": box3}})
+    out = tmp_path / "mackey.out"
+    assert main(["mackey", "--input", inp, "--output", str(out)]) == 2
+    assert "ValueError: a gauge of a difference of prefix points overflows" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
 
 @pytest.mark.parametrize("command, setting, value", [
     ("steer", "budget", 2.7),
@@ -437,6 +462,42 @@ def test_writer_matches_indented_json_on_a_gauge_matrix(tmp_path):
             assert path.read_bytes() == expected
 
 
+finite_or_special = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def near_symmetric_matrices(draw):
+    """An n x n float64 matrix, 1 <= n <= 6, equal to its transpose bit for
+    bit, then perhaps with entries set on one side only (±0.0, NaN, ±inf or
+    any float) or with one bit of one off-diagonal entry flipped."""
+    n = draw(st.integers(1, 6))
+    a = np.array(draw(st.lists(finite_or_special, min_size=n * n, max_size=n * n)),
+                 dtype=np.float64).reshape(n, n)
+    index = np.arange(n)
+    a = np.where(index[:, None] <= index, a, a.T)  # copies the upper triangle's bits
+    for i, j, value in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                               finite_or_special), max_size=3)):
+        a[i, j] = value
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        a.view(np.int64)[i, j] ^= np.int64(1) << np.int64(draw(st.integers(0, 63)))
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_symmetric_matrices())
+def test_writer_matches_indented_json_on_near_symmetric_matrices(tmp_path_factory, a):
+    """The symmetric row stream and the whole-row stream both give json's
+    bytes, whichever side of a pair holds the NaN, inf or -0.0."""
+    expected = reference_dump(a.tolist())
+    assert _dump_json(a) == expected
+    path = tmp_path_factory.getbasetemp() / "near-symmetric.json"
+    _write_json(str(path), a)
+    assert path.read_text(encoding="utf-8") == expected
+
+
 def test_mackey_command_peak_memory_scales_with_the_gauge_matrix(tmp_path):
     """400 points give a 1.25 MiB gauge matrix and a 4 MiB artifact; one
     temporary over all 79 800 pairs, or the artifact built as one string,
@@ -458,6 +519,36 @@ def test_mackey_command_peak_memory_scales_with_the_gauge_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 12 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_mackey_command_formats_each_gauge_once(tmp_path):
+    """The 400-point gauge matrix equals its transpose, so the writer keeps
+    the texts of at most about a quarter of its 160 000 entries at once;
+    holding the texts of all its distinct values at once takes the traced
+    peak to 10.8 MiB."""
+    rng = np.random.default_rng(17)
+    h = rng.normal(size=(6, 3))
+    h /= np.linalg.norm(h, axis=1)[:, None]
+    h = np.vstack([np.eye(3), h * rng.uniform(0.5, 1.5, size=(6, 1))])
+    body = {"dim": 3, "halfspaces": np.vstack([h, -h]).tolist()}
+    u = rng.normal(size=3)
+    prefix = [(0.95 ** k * u).tolist() for k in range(400)]
+    inp = write(tmp_path, "mackey.json", {"prefix": prefix, "M": body})
+    out = tmp_path / "mackey.out"
+    argv = ["mackey", "--input", inp, "--output", str(out)]
+    assert main(argv) == 0  # imports scipy, outside the trace
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
+    report = mackey_cauchy_diagnostic(np.array(prefix), ConvexBody.from_json_dict(body))
+    assert np.array_equal(report.mu, report.mu.T)
+    assert out.read_text(encoding="utf-8") == reference_dump(
+        {"is_cauchy_prefix": report.is_cauchy_prefix, "mu": report.mu.tolist(),
+         "tail_max": report.tail_max.tolist(), "rate": report.rate})
 
 
 # ---------------------------------------------------------------------------

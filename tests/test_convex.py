@@ -67,6 +67,8 @@ def test_gauge_dimension_mismatch():
         separate(np.zeros((0, 2)), np.ones((2, 2)))
     with pytest.raises(ValueError, match="nonempty"):
         separate(np.ones((2, 2)), np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="nonempty"):
+        ConvexBody(np.zeros((2, 0)))
 
 
 def test_quasi_seminorm_axioms_randomized():
@@ -573,6 +575,42 @@ def test_boundedness_lp_matches_coordinate_lps():
         assert convex._bounded_by_nnls(normals) == _bounded_by_coordinate_lps(normals) == bounded
 
 
+def test_rank_test_is_matrix_ranks():
+    """The boundedness rank test reads numpy's own tolerance off one SVD:
+    its verdict is ``matrix_rank(N) >= n`` on seeded generic,
+    rank-deficient, duplicated-row, all-zero and m < n matrices, and on
+    ones whose least singular value sits at that tolerance."""
+    rng = np.random.default_rng(25)
+    verdicts = []
+    for k in range(400):
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(1, 3 * n + 2))
+        kind = k % 5
+        if kind == 0:
+            normals = rng.normal(size=(m, n))
+        elif kind == 1:  # rank deficient
+            r = int(rng.integers(0, n))
+            normals = rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
+        elif kind == 2:  # duplicated rows
+            normals = rng.normal(size=(m, n))
+            normals = np.vstack([normals, normals[:1 + m // 2]])
+        elif kind == 3:
+            normals = np.zeros((m, n))
+        else:  # least singular value at S[0] * max(m, n) * eps, times 1/2, 1 or 2
+            m = max(m, n)
+            u = np.linalg.qr(rng.normal(size=(m, n)))[0]
+            v = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            s = np.linspace(1.0, 0.5, n)
+            s[-1] = m * convex._EPS * rng.choice([0.5, 1.0, 2.0])
+            normals = (u * s) @ v.T
+        expected = np.linalg.matrix_rank(normals) >= n
+        assert convex._full_column_rank(normals) == expected, (kind, normals.shape)
+        verdicts.append((kind, m < n, expected))
+    assert {(kind, expected) for kind, _, expected in verdicts} >= {
+        (0, True), (0, False), (1, False), (2, True), (3, False), (4, True), (4, False)}
+    assert any(short for _, short, _ in verdicts)
+
+
 def test_one_boundedness_lp_per_body(monkeypatch):
     calls = []
     solve = convex.nnls
@@ -693,6 +731,25 @@ def test_mackey_matches_pairwise_loop(n):
         mu, tail = _mackey_by_pairs(prefix, m_body)
         assert report.mu.tobytes() == mu.tobytes()
         assert report.tail_max.tobytes() == tail.tobytes()
+
+
+def test_overflowing_gauges_raise():
+    """A difference or a product <h, x> that overflows is a ValueError, not
+    the gauge 0.0 that max(0, NaN) reads."""
+    box = ConvexBody.unit_box(3)
+    with pytest.raises(ValueError, match="overflows"):  # x_0 - x_1 = inf; 0 * inf = NaN
+        mackey_cauchy_diagnostic([[1e308, 0, 0], [-1e308, 0, 0], [0, 0, 0]], box)
+    wide = ConvexBody.cross_polytope(2).scale(0.5)  # normals (±2, ±2)
+    x = [1.5e308, 1.5e308]  # finite, but <(2, -2), x> = inf - inf
+    with pytest.raises(ValueError, match="the gauge overflows"):
+        minkowski(wide, x)
+    with pytest.raises(ValueError, match="overflows"):
+        mackey_cauchy_diagnostic([x, [0.0, 0.0]], wide)
+    with pytest.raises(ValueError, match="the gauge overflows"):
+        minkowski(ConvexBody.unit_box(2).scale(0.5), [1.5e308, 0.0])  # 2 * 1.5e308 = inf
+    big = [[1e308, 0, 0], [0, 0, 0]]  # gauges near the largest float still go through
+    assert mackey_cauchy_diagnostic(big, box).mu.tolist() == [[0.0, 1e308], [1e308, 0.0]]
+    assert minkowski(box, big[0]) == 1e308
 
 
 def test_mackey_short_prefixes():

@@ -55,7 +55,9 @@ def bench_modules(args):
 def run_operations(args):
     """Yield ``(seed, operation, exit code, harness)`` for each benchmark
     operation, run once, in order, in this process, as a benchmark pass runs
-    it; an operation that raises has the exit code ``raised``."""
+    it; an operation that raises has the exit code ``raised``.  After each
+    seed's last operation it yields ``(seed, None, None, harness)``, while
+    that seed's artifacts still exist."""
     harness, workloads = bench_modules(args)
     with tempfile.TemporaryDirectory(prefix="bench-ops-") as tmp:
         for workload in args.workload:
@@ -67,12 +69,14 @@ def run_operations(args):
                     if not isinstance(code, int):  # the traceback of a raised operation
                         code = "raised"
                     yield seed, op, code, harness
+                yield seed, None, None, harness
 
 
 def main(argv=None) -> int:
     args = parser(__doc__.split("\n")[0]).parse_args(argv)
     for seed, op, code, harness in run_operations(args):
-        print(seed, op.name, code, harness._digest(op), flush=True)
+        if op is not None:
+            print(seed, op.name, code, harness._digest(op), flush=True)
     return 0
 
 

@@ -7,6 +7,13 @@ process's ``ru_maxrss`` high-water mark and how far that operation raised it:
 
     <seed> <operation> <exit code> <peak RSS MB> <rise MB>
 
+After a seed's operations it hashes every artifact with ``harness._digest``,
+as a benchmark pass does after its operations (each file is read whole), and
+prints that mark as the seed's last line, so that line predicts the
+workload's ``peak_rss_mb``:
+
+    <seed> digests - <peak RSS MB> <rise MB>
+
 So the operation that sets a workload's ``peak_rss_mb`` shows in seconds,
 without a 38-s benchmark run. Run from the repository root; ``--src`` picks
 the bracketflow sources to run, so two trees compare side by side:
@@ -31,10 +38,17 @@ def _peak_mb() -> float:
 
 def main(argv=None) -> int:
     args = parser(__doc__.split("\n")[0]).parse_args(argv)
-    last = _peak_mb()
-    for seed, op, code, _ in run_operations(args):
+    last, ops = _peak_mb(), []
+    for seed, op, code, harness in run_operations(args):
+        if op is None:  # the seed's end
+            for done in ops:
+                harness._digest(done)
+            ops, name, code = [], "digests", "-"
+        else:
+            ops.append(op)
+            name = op.name
         peak = _peak_mb()
-        print(seed, op.name, code, f"{peak:.1f}", f"{peak - last:+.1f}", flush=True)
+        print(seed, name, code, f"{peak:.1f}", f"{peak - last:+.1f}", flush=True)
         last = peak
     return 0
 
