@@ -28,8 +28,9 @@ A setting is its flag, else the input's JSON field of the same name, else
 the library default: ``grid`` and ``tol`` from ``flows.DEFAULT_GRID`` and
 ``flows.DEFAULT_RTOL``; ``epsilon`` and ``budget`` from the
 ``SteeringProblem`` fields; closure's ``cap`` and ``depth`` in
-``_cmd_closure``.  A JSON ``true``/``false`` for any setting, a fractional
-number for an integer one, a ``tol`` that is negative or not finite and an
+``_cmd_closure``.  A JSON ``true``/``false`` for any setting or real number
+(a duration ``t``, ``theta``, a rotation's ``angle``), a fractional number
+for an integer setting, a ``tol`` that is negative or not finite and an
 ``epsilon`` that is not finite and positive are domain errors.
 """
 from __future__ import annotations
@@ -175,13 +176,22 @@ def _load_diffeo(spec, grid: int) -> CircleDiffeo:
     if kind == "identity":
         return CircleDiffeo.identity(grid)
     if kind == "rotation":
-        return CircleDiffeo.rotation(float(spec["angle"]), grid)
+        return CircleDiffeo.rotation(_real(spec, "angle"), grid)
     if kind == "word":
         word = FlowWord.from_json_list(spec["steps"])
         return apply_word(word, CircleDiffeo.identity(grid))
     if kind == "csv":
         return CircleDiffeo.from_csv(Path(spec["path"]).read_text(encoding="utf-8"))
     raise ValueError(f"unknown diffeo kind {kind!r}")
+
+
+def _real(data: dict, name: str) -> float:
+    """The input's ``name`` field as a float; a JSON ``true``/``false``
+    raises ``ValueError`` rather than reading as 1.0 or 0.0."""
+    value = data[name]
+    if isinstance(value, bool):
+        raise ValueError(f"{name!r} must be a number, not {value!r}")
+    return float(value)
 
 
 def _setting(args: argparse.Namespace, data: dict, name: str, default):
@@ -230,7 +240,7 @@ def _cmd_closure(args: argparse.Namespace, data: dict) -> str:
 
 def _cmd_flow(args: argparse.Namespace, data: dict) -> str:
     field = TrigPoly.from_json_dict(data["field"])
-    t = float(data["t"])
+    t = _real(data, "t")
     phi = _load_diffeo(data.get("diffeo"), _setting(args, data, "grid", DEFAULT_GRID))
     rtol = _setting(args, data, "tol", DEFAULT_RTOL)
     out = apply_word(FlowWord.of([(field, t)]), phi, rtol=rtol)
@@ -242,8 +252,8 @@ def _cmd_flow(args: argparse.Namespace, data: dict) -> str:
 def _cmd_residual(args: argparse.Namespace, data: dict) -> str:
     x = TrigPoly.from_json_dict(data["x"])
     y = TrigPoly.from_json_dict(data["y"])
-    theta = float(data["theta"])
-    t = float(data["t"])
+    theta = _real(data, "theta")
+    t = _real(data, "t")
     rtol = _setting(args, data, "tol", DEFAULT_RTOL)
     res = commutator_flow_residual(x, y, theta, t, rtol=rtol)
     bval = evaluate(bracket(x, y), theta)

@@ -25,12 +25,20 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+# Distance, gauge and gain below which the cone construction, its membership
+# tests and isolation count two points as one, a point as in B, or a gain as 0;
+# separation also refuses hulls this close.
 DEGENERACY_TOL = 1e-12
+# Slack of ``contains`` and ``is_symmetric``: ``vertices()`` rounds qhull's
+# vertices to 9 decimals, so a vertex may lie this far off its facets.
+_VERTEX_TOL = 1e-9
+# Wolfe's stop: the support point s has <s, x> >= |x|^2 - _WOLFE_TOL max(1, |x|^2).
+_WOLFE_TOL = 1e-13
 _EPS = float(np.finfo(float).eps)
 
 
 class SetsIntersect(Exception):
-    """Separation was requested for sets at distance <= the degeneracy tol."""
+    """Separation was requested for sets at distance <= DEGENERACY_TOL."""
 
 
 class InvalidSeed(Exception):
@@ -235,10 +243,6 @@ class ConvexBody:
     # -- constructors
 
     @staticmethod
-    def from_normals(normals) -> "ConvexBody":
-        return ConvexBody(np.array(normals, dtype=float))
-
-    @staticmethod
     def from_vertices(points) -> "ConvexBody":
         """Hull of the points, its vertices in ``vertices()``'s lexicographic
         order; 0 must be interior so offsets normalize to 1."""
@@ -289,13 +293,14 @@ class ConvexBody:
             self._vertices = verts
         return self._vertices
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        return bool(np.max(self.normals @ np.asarray(x, dtype=float)) <= 1.0 + tol)
+    def contains(self, x) -> bool:
+        return bool(np.max(self.normals @ np.asarray(x, dtype=float)) <= 1.0 + _VERTEX_TOL)
 
-    def is_symmetric(self, tol: float = 1e-9) -> bool:
+    def is_symmetric(self) -> bool:
         verts = self.vertices()
         for v in verts:
-            if np.min(np.linalg.norm(verts + v, axis=1)) > tol * max(1.0, np.linalg.norm(v)):
+            if np.min(np.linalg.norm(verts + v, axis=1)) \
+                    > _VERTEX_TOL * max(1.0, np.linalg.norm(v)):
                 return False
         return True
 
@@ -427,7 +432,7 @@ def _closest_pair(A: np.ndarray, B: np.ndarray) -> tuple[tuple[int, int], float]
     return start, best
 
 
-def _min_norm_point(A: np.ndarray, B: np.ndarray, tol: float = 1e-13) -> np.ndarray:
+def _min_norm_point(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Wolfe's algorithm: the min-norm point of conv(A) - conv(B).
 
     The difference set is never built (Gilbert-Johnson-Keerthi): the
@@ -450,7 +455,7 @@ def _min_norm_point(A: np.ndarray, B: np.ndarray, tol: float = 1e-13) -> np.ndar
     for _ in range(16 * A.shape[0] * nb + 64):
         j = (int(np.argmin(A @ x)), int(np.argmax(B @ x)))
         xx = float(x @ x)
-        if float((A[j[0]] - B[j[1]]) @ x) >= xx - tol * max(1.0, xx) or j in S:
+        if float((A[j[0]] - B[j[1]]) @ x) >= xx - _WOLFE_TOL * max(1.0, xx) or j in S:
             break
         S.append(j)
         w = np.append(w, 0.0)
@@ -555,9 +560,9 @@ def separate(a_points, b: Union[ConvexBody, np.ndarray, Sequence]) -> Separation
 # cone construction
 
 def _feasible_s(coef0: np.ndarray, coef1: np.ndarray, rho: float,
-                s_min: float, tol: float) -> np.ndarray:
+                s_min: float) -> np.ndarray:
     """Per row g of coef1: is there s >= s_min with coef0 + s*g <= rho componentwise?"""
-    bound = rho + tol - coef0
+    bound = rho + DEGENERACY_TOL - coef0
     pos = coef1 > 1e-300
     neg = coef1 < -1e-300
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -575,7 +580,9 @@ class ConeResult:
     Membership tests use the closed neighborhood (closed base, t in
     [0, 1]); that is a superset of the open one, so exclusion checked
     here is the stronger statement and the vertex itself is always a
-    member.
+    member.  They answer at the construction's own DEGENERACY_TOL: a
+    point that close to the apex is a member, and each gauge ball is
+    widened by it.
     """
 
     vertex: np.ndarray            # a*
@@ -593,40 +600,37 @@ class ConeResult:
     # b = a + (x - a1)/s with x in a gauge ball is linear in s).  Each takes
     # one point (answer: bool) or a row array of points (one bool per row).
 
-    def _members(self, points, apex, center, rho: float, s_min: float,
-                 tol: float) -> Union[bool, np.ndarray]:
+    def _members(self, points, apex, center, rho: float,
+                 s_min: float) -> Union[bool, np.ndarray]:
         p = np.asarray(points, dtype=float)
         delta = np.atleast_2d(p) - apex
         N = self.body.normals
         # stacked matrix-vector products: the same floats as N @ row, row by row
         coef1 = np.matmul(N, delta[:, :, None])[:, :, 0]
-        inside = (np.linalg.norm(delta, axis=1) <= tol) | \
-            _feasible_s(N @ (self.a1 - center), coef1, rho, s_min, tol)
+        inside = (np.linalg.norm(delta, axis=1) <= DEGENERACY_TOL) | \
+            _feasible_s(N @ (self.a1 - center), coef1, rho, s_min)
         return bool(inside[0]) if p.ndim == 1 else inside
 
-    def in_cone(self, point, vertex=None,
-                tol: float = DEGENERACY_TOL) -> Union[bool, np.ndarray]:
+    def in_cone(self, point, vertex=None) -> Union[bool, np.ndarray]:
         """point in {vertex + t (x - a1) : x in ball(x0, alpha/4), t >= 0}."""
         a = self.vertex if vertex is None else np.asarray(vertex, dtype=float)
-        return self._members(point, a, self.x0, self.alpha / 4.0, 1e-12, tol)
+        return self._members(point, a, self.x0, self.alpha / 4.0, 1e-12)
 
-    def in_segment_cone(self, point, vertex=None,
-                        tol: float = DEGENERACY_TOL) -> Union[bool, np.ndarray]:
+    def in_segment_cone(self, point, vertex=None) -> Union[bool, np.ndarray]:
         """Same cone but with the parameter capped at t <= 1 (s >= 1)."""
         a = self.vertex if vertex is None else np.asarray(vertex, dtype=float)
-        return self._members(point, a, self.x0, self.alpha / 4.0, 1.0, tol)
+        return self._members(point, a, self.x0, self.alpha / 4.0, 1.0)
 
-    def in_neighborhood(self, point,
-                        tol: float = DEGENERACY_TOL) -> Union[bool, np.ndarray]:
+    def in_neighborhood(self, point) -> Union[bool, np.ndarray]:
         """Closed neighborhood: segment cone from a1 over the shifted base."""
         center = self.x0 + self.epsilon * self.axis
-        return self._members(point, self.a1, center, self.alpha / 3.0, 1.0, tol)
+        return self._members(point, self.a1, center, self.alpha / 3.0, 1.0)
 
-    def isolates(self, b_points, tol: float = DEGENERACY_TOL) -> bool:
+    def isolates(self, b_points) -> bool:
         """Brute force: neighborhood ∩ cone(a*) ∩ B == {a*}."""
         B = np.atleast_2d(np.asarray(b_points, dtype=float))
-        inside = self.in_neighborhood(B, tol) & self.in_cone(B, tol=tol)
-        at_vertex = np.linalg.norm(B - self.vertex, axis=1) <= tol
+        inside = self.in_neighborhood(B) & self.in_cone(B)
+        at_vertex = np.linalg.norm(B - self.vertex, axis=1) <= DEGENERACY_TOL
         return bool(np.any(inside & at_vertex)) and not np.any(inside & ~at_vertex)
 
     def to_json_dict(self) -> dict:
@@ -657,15 +661,17 @@ def _gauge_many(body: ConvexBody, deltas: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, vals.max(axis=1))
 
 
-def cone_extremal_point(b_points, a1, x0, body: ConvexBody,
-                        tol: float = DEGENERACY_TOL) -> ConeResult:
+def cone_extremal_point(b_points, a1, x0, body: ConvexBody) -> ConeResult:
     """Find a* in B isolated by a translated cone and a neighborhood.
 
     The finite-cloud iteration: separate a1 from the gauge ball around
     x0, project the cone-segment members of B on the functional, move
     the vertex to the member of maximal gain (ties: lexicographically
     smallest), and repeat until the gain vanishes.  Each move at least
-    halves the gauge diameter of the truncated cone.
+    halves the gauge diameter of the truncated cone.  DEGENERACY_TOL
+    decides throughout: a1 must lie that close to a point of B, x0 that
+    far in gauge from all of them, a gain up to it counts as vanished,
+    and gains that close to the best one tie.
     """
     B = _finite(np.atleast_2d(np.asarray(b_points, dtype=float)), "b_points")
     a1 = _finite(np.asarray(a1, dtype=float), "a1")
@@ -674,10 +680,10 @@ def cone_extremal_point(b_points, a1, x0, body: ConvexBody,
         raise ValueError("gauge body must be symmetric (run symmetrize first)")
     if B.shape[1] != body.dim or a1.shape != (body.dim,) or x0.shape != (body.dim,):
         raise ValueError("dimension mismatch")
-    if np.min(np.linalg.norm(B - a1, axis=1)) > tol:
+    if np.min(np.linalg.norm(B - a1, axis=1)) > DEGENERACY_TOL:
         raise InvalidSeed("a1 must be a member of B")
     gauges = _gauge_many(body, B - x0)
-    if np.min(gauges) <= tol:
+    if np.min(gauges) <= DEGENERACY_TOL:
         raise InvalidSeed("x0 must lie outside B")
 
     alpha = 0.5 * float(np.min(gauges))
@@ -695,8 +701,8 @@ def cone_extremal_point(b_points, a1, x0, body: ConvexBody,
     epsilon = alpha / 12.0
     for _ in range(200):
         shifted = third_vertices + epsilon * axis
-        if np.max(_gauge_many(body, shifted - x0)) <= alpha / 2.0 + tol \
-                and epsilon * gauge_e <= alpha / 12.0 + tol:
+        if np.max(_gauge_many(body, shifted - x0)) <= alpha / 2.0 + DEGENERACY_TOL \
+                and epsilon * gauge_e <= alpha / 12.0 + DEGENERACY_TOL:
             break
         epsilon /= 2.0
     else:
@@ -708,7 +714,7 @@ def cone_extremal_point(b_points, a1, x0, body: ConvexBody,
     )
 
     def truncated_diameter(vertex: np.ndarray, d: float) -> float:
-        if d <= tol:
+        if d <= DEGENERACY_TOL:
             return 0.0
         dirs = base_vertices - a1
         heights = dirs @ ell
@@ -719,7 +725,7 @@ def cone_extremal_point(b_points, a1, x0, body: ConvexBody,
 
     current = a1.copy()
     for _ in range(B.shape[0] + 1):
-        members = B[result.in_segment_cone(B, vertex=current, tol=tol)]
+        members = B[result.in_segment_cone(B, vertex=current)]
         # stacked dot products: the same floats as ell @ (p - current), point by point
         gains = np.matmul((members - current)[:, None, :], ell[:, None])[:, 0, 0]
         d = float(np.max(gains)) if len(gains) else 0.0
@@ -727,9 +733,9 @@ def cone_extremal_point(b_points, a1, x0, body: ConvexBody,
         result.iterates.append((current.copy(), truncated_diameter(current, d)))
         if len(result.iterates) == 1:
             result.level_d = d
-        if d <= tol:
+        if d <= DEGENERACY_TOL:
             break
-        best = sorted((tuple(p) for p, g in zip(members, gains) if g >= d - tol))
+        best = sorted((tuple(p) for p, g in zip(members, gains) if g >= d - DEGENERACY_TOL))
         current = np.array(best[0], dtype=float)
     result.vertex = current
     return result

@@ -49,9 +49,10 @@ _DP_A = (
     (44 / 45, -56 / 15, 32 / 9),
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+# The seventh stage is f(y_new) (first same as last), so its row of the
+# tableau is these weights and its own weight is 0.
+_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _DP_ERR = (
     71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
 )
@@ -139,9 +140,10 @@ def _dormand_prince(field: TrigPoly, duration: float, y, rtol: float):
             h = duration - t
             clipped = True
         ks = [k1]
-        for i in range(1, 7):
-            ks.append(f(y + h * _combine(_DP_A[i], ks)))
+        for row in _DP_A[1:]:
+            ks.append(f(y + h * _combine(row, ks)))
         y_new = y + h * _combine(_DP_B5, ks)
+        ks.append(f(y_new))
         err_est = h * _combine(_DP_ERR, ks)
         if single:
             err = abs(err_est) / (DEFAULT_ATOL + rtol * max(abs(y), abs(y_new)))
@@ -400,11 +402,16 @@ class FlowWord:
 
     @staticmethod
     def from_json_list(data: list) -> "FlowWord":
+        """The word of ``to_json_list``.  A step without an inline ``field``,
+        or whose ``t`` is a JSON ``true``/``false``, raises ``ValueError``."""
         steps = []
         for entry in data:
             if "field" not in entry:
                 raise ValueError("word step needs an inline field")
-            steps.append((TrigPoly.from_json_dict(entry["field"]), float(entry["t"])))
+            t = entry["t"]
+            if isinstance(t, bool):
+                raise ValueError(f"word step duration must be a number, not {t!r}")
+            steps.append((TrigPoly.from_json_dict(entry["field"]), float(t)))
         return FlowWord.of(steps)
 
 

@@ -25,9 +25,10 @@ _ZERO = Fraction(0)
 
 
 def _frac(value: Rational) -> Fraction:
+    """The coefficient as a Fraction; a bool, which is an int, raises too."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected int, str or Fraction, got {type(value).__name__}")
 
@@ -189,7 +190,13 @@ class TrigPoly:
 
     @staticmethod
     def from_json_dict(data: dict) -> "TrigPoly":
-        return TrigPoly.from_coeffs(data.get("c0", 0), data.get("cos", ()), data.get("sin", ()))
+        """The field of ``to_json_dict``: ``cos`` and ``sin`` are lists (a
+        missing one is empty) of integers or strings, as ``c0`` is one; any
+        other value, a bool or a float too, raises ``TypeError``."""
+        cos, sin = data.get("cos", []), data.get("sin", [])
+        if not (isinstance(cos, list) and isinstance(sin, list)):
+            raise TypeError(f"cos and sin must be lists of coefficients, not {cos!r}, {sin!r}")
+        return TrigPoly.from_coeffs(data.get("c0", 0), cos, sin)
 
 
 def _gaussian_modes(v: TrigPoly) -> tuple[int, dict[int, tuple[int, int]]]:

@@ -223,6 +223,31 @@ def test_settings_reject_bools_and_fractional_integers(tmp_path, capsys, command
     assert not out.exists()
 
 
+SIN1, COS1 = TrigPoly.sine(1).to_json_dict(), TrigPoly.cosine(1).to_json_dict()
+
+
+@pytest.mark.parametrize("command, payload, problem", [
+    ("bracket", {"v": {"cos": "12"}, "w": {"sin": [1]}}, "TypeError: cos and sin must be lists"),
+    ("bracket", {"v": {"cos": {"1": 2}}, "w": SIN1}, "TypeError: cos and sin must be lists"),
+    ("bracket", {"v": {"cos": ["12"]}, "w": {"sin": [True]}}, "TypeError: expected int, str"),
+    ("residual", {"x": SIN1, "y": COS1, "theta": True, "t": 0.02},
+     "ValueError: 'theta' must be a number, not True"),
+    ("flow", {"field": COS1, "t": True}, "ValueError: 't' must be a number, not True"),
+    ("steer", {"target": {"kind": "rotation", "angle": True}},
+     "ValueError: 'angle' must be a number, not True"),
+    ("steer", {"target": {"kind": "word", "steps": [{"field": SIN1, "t": False}]}},
+     "ValueError: word step duration must be a number, not False"),
+])
+def test_non_list_coefficients_and_bool_numbers_exit_two(tmp_path, capsys, command, payload,
+                                                         problem):
+    inp = write(tmp_path, "in.json", payload)
+    out = tmp_path / "out"
+    assert main([command, "--input", inp, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and problem in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flag, value, problem", [
     ("steer", "--epsilon", "nan", "epsilon must be finite"),
     ("steer", "--epsilon", "inf", "epsilon must be finite"),

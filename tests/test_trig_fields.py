@@ -319,3 +319,15 @@ def test_json_round_trip():
 def test_rejects_non_rational_coefficients():
     with pytest.raises(TypeError):
         TrigPoly.from_coeffs(0.5, [], [])
+
+
+@pytest.mark.parametrize("data", [
+    {"cos": "12"},               # a string is not read character by character
+    {"sin": {"1": "2"}},         # nor an object by its keys
+    {"cos": ["1"], "sin": [True]},
+    {"c0": False},
+    {"cos": [0.5]},
+])
+def test_json_coefficients_are_lists_of_integers_or_strings(data):
+    with pytest.raises(TypeError):
+        TrigPoly.from_json_dict(data)

@@ -16,7 +16,9 @@ both medians, both interquartile ranges, the change in the medians, the
 number of pairs in which the change is better, whether the medians
 differ by more than the parent's IQR, and the no-regression verdict: whether
 the change's median is worse than the parent's by no more than the metric's
-relative ``bound``.
+relative ``bound``.  When the parent's IQR is wider than that bound, the
+runs cannot tell such a difference from noise, and the verdict reads
+``unresolved`` unless every change run is better than every parent run.
 """
 from __future__ import annotations
 
@@ -74,12 +76,14 @@ def main(argv=None) -> int:
             wins = sum((c < q) if lower else (c > q) for q, c in zip(pv, cv))
             pm, cm = statistics.median(pv), statistics.median(cv)
             worse = (cm - pm) if lower else (pm - cm)
+            bound = metric["bound"] * abs(pm)
+            dominates = max(cv) < min(pv) if lower else min(cv) > max(pv)
+            verdict = "unresolved" if iqr(pv) > bound and not dominates else worse <= bound
             print(f"{workload} {name}: parent {pm:.6g} (IQR {iqr(pv):.3g}) "
                   f"change {cm:.6g} (IQR {iqr(cv):.3g}) {100 * (cm / pm - 1):+.1f}%, "
                   f"change better in {wins}/{args.pairs}, "
                   f"|median difference| > parent IQR: {abs(cm - pm) > iqr(pv)}, "
-                  f"within bound {100 * metric['bound']:g}%: "
-                  f"{worse <= metric['bound'] * abs(pm)}", flush=True)
+                  f"within bound {100 * metric['bound']:g}%: {verdict}", flush=True)
         for side in ("parent", "change"):
             failed = sum(r["failed"] for r in runs[side])
             attempted = sum(r["attempted"] for r in runs[side])
