@@ -29,9 +29,11 @@ the library default: ``grid`` and ``tol`` from ``flows.DEFAULT_GRID`` and
 ``flows.DEFAULT_RTOL``; ``epsilon`` and ``budget`` from the
 ``SteeringProblem`` fields; closure's ``cap`` and ``depth`` in
 ``_cmd_closure``.  A JSON ``true``/``false`` for any setting or real number
-(a duration ``t``, ``theta``, a rotation's ``angle``), a fractional number
-for an integer setting, a ``tol`` that is negative or not finite and an
-``epsilon`` that is not finite and positive are domain errors.
+(a duration ``t``, ``theta``, a rotation's ``angle``) or inside an array of
+reals (an inline point set, ``x``, ``a1``, ``x0``, a body's ``halfspaces``),
+a fractional number for an integer setting, a ``tol`` that is negative or
+not finite and an ``epsilon`` that is not finite and positive are domain
+errors.
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .closure import FieldFamily, closure
-from .convex import (ConvexBody, InvalidCertificate, InvalidSeed, SetsIntersect,
+from .convex import (ConvexBody, InvalidCertificate, InvalidSeed, SetsIntersect, _real_array,
                      cone_extremal_point, mackey_cauchy_diagnostic, minkowski, separate,
                      symmetrize)
 from .flows import DEFAULT_GRID, DEFAULT_RTOL, CircleDiffeo, FlowWord, IntegrationError, \
@@ -144,8 +146,9 @@ def _load_points(spec) -> np.ndarray:
     """Point set: inline list of rows, or {"csv": path} with one row per line.
 
     The first line of a CSV is a header when one of its cells is not a
-    number; every other line must be numbers.  A non-numeric line or a
-    non-finite coordinate raises ``ValueError``.
+    number; every other line must be numbers.  A non-numeric line, a
+    non-finite coordinate and a JSON ``true``/``false`` in an inline set
+    raise ``ValueError``.
     """
     if isinstance(spec, dict) and "csv" in spec:
         source = spec["csv"]
@@ -159,7 +162,8 @@ def _load_points(spec) -> np.ndarray:
                     raise ValueError(f"{source}: not a row of numbers: {line!r}") from None
         points = np.array(rows)
     else:
-        source, points = "inline point set", np.array(spec, dtype=float)
+        source = "inline point set"
+        points = _real_array(spec, source)
     if not np.isfinite(points).all():
         raise ValueError(f"{source}: non-finite coordinate")
     return points
@@ -282,7 +286,7 @@ def _cmd_steer(args: argparse.Namespace, data: dict) -> str:
 
 def _cmd_minkowski(args: argparse.Namespace, data: dict) -> str:
     body = ConvexBody.from_json_dict(data["body"])
-    x = np.array(data["x"], dtype=float)
+    x = _real_array(data["x"], "x")
     value = minkowski(body, x)
     _write_json(args.output, {"value": value})
     return f"minkowski: gauge({x.tolist()}) = {value:.9g}"
@@ -295,14 +299,14 @@ def _cmd_separate(args: argparse.Namespace, data: dict) -> str:
     else:
         b = _load_points(data["B"]["points"])
     cert = separate(a, b)
-    _write_json(args.output, cert.to_json_dict())
+    _write_json(args.output, vars(cert))  # its fields are the JSON keys
     return f"separate: alpha {cert.alpha:.9g} < beta {cert.beta:.9g}"
 
 
 def _cmd_cone(args: argparse.Namespace, data: dict) -> str:
     b_points = _load_points(data["B"])
-    a1 = np.array(data["a1"], dtype=float)
-    x0 = np.array(data["x0"], dtype=float)
+    a1 = _real_array(data["a1"], "a1")
+    x0 = _real_array(data["x0"], "x0")
     body = symmetrize(ConvexBody.from_json_dict(data["D"]))
     result = cone_extremal_point(b_points, a1, x0, body)
     _write_json(args.output, result.to_json_dict())

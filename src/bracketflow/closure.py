@@ -9,6 +9,9 @@ coefficients of iterated brackets grow, and floating rank would lie about
 them.  The trig closure brackets Gaussian-integer mode tables, computed
 once per generated field: a bracket over the mode cap is found from the
 top mode down, and only brackets the span keeps become Fraction fields.
+A polynomial field offers construction, evaluation and equality, and its
+bracket is formed in one pass over the two fields' terms; the polynomial
+fields of one family share one dimension.
 """
 from __future__ import annotations
 
@@ -124,7 +127,7 @@ def solve_combination(columns: Sequence[Sequence[Fraction]],
 Monomial = tuple[int, ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Polynomial:
     """Multivariate polynomial with rational coefficients, sparse terms."""
 
@@ -153,50 +156,8 @@ class Polynomial:
         m[index] = 1
         return Polynomial.make(dim, {tuple(m): 1})
 
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.dim, self.terms))
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = self.as_dict()
-        for m, c in other.terms:
-            out[m] = out.get(m, _ZERO) + c
-        return Polynomial.make(self.dim, out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.dim, tuple((m, -c) for m, c in self.terms))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        out: dict = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                out[m] = out.get(m, _ZERO) + c1 * c2
-        return Polynomial.make(self.dim, out)
-
-    def diff(self, index: int) -> "Polynomial":
-        out: dict = {}
-        for m, c in self.terms:
-            e = m[index]
-            if e:
-                dm = list(m)
-                dm[index] = e - 1
-                dm = tuple(dm)
-                out[dm] = out.get(dm, _ZERO) + c * e
-        return Polynomial.make(self.dim, out)
 
     def eval(self, point: Sequence[Fraction]) -> Fraction:
         total = _ZERO
@@ -208,7 +169,7 @@ class Polynomial:
         return total
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PolyField:
     """Vector field on R^n: component i multiplies d/dx_i."""
 
@@ -225,14 +186,6 @@ class PolyField:
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.components)
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyField):
-            return NotImplemented
-        return self.components == other.components
-
-    def __hash__(self):
-        return hash(self.components)
 
     @staticmethod
     def coordinate(dim: int, index: int) -> "PolyField":
@@ -256,18 +209,24 @@ def poly_bracket(x: PolyField, y: PolyField) -> PolyField:
     """[X, Y] with the same sign convention as the circle bracket.
 
     Component i is sum_j (Y_j dX_i/dx_j - X_j dY_i/dx_j); restricted to
-    one dimension this is exactly (v' w - w' v).
+    one dimension this is exactly (v' w - w' v).  The term products are
+    summed in one monomial map per component, made a Polynomial once.
     """
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
     n = x.dim
     comps = []
-    for i in range(n):
-        acc = Polynomial.zero(n)
-        for j in range(n):
-            acc = acc + y.components[j] * x.components[i].diff(j)
-            acc = acc - x.components[j] * y.components[i].diff(j)
-        comps.append(acc)
+    for xi, yi in zip(x.components, y.components):
+        acc: dict = {}
+        for p, other, sign in ((xi, y, 1), (yi, x, -1)):
+            for m, c in p.terms:
+                for j, e in enumerate(m):
+                    if e:  # the x_j-derivative of the term, times other_j
+                        dm, dc = m[:j] + (e - 1,) + m[j + 1:], sign * e * c
+                        for m2, c2 in other.components[j].terms:
+                            key = tuple(a + b for a, b in zip(dm, m2))
+                            acc[key] = acc.get(key, _ZERO) + dc * c2
+        comps.append(Polynomial.make(n, acc))
     return PolyField(tuple(comps))
 
 
@@ -276,7 +235,8 @@ def poly_bracket(x: PolyField, y: PolyField) -> PolyField:
 
 @dataclass(frozen=True)
 class FieldFamily:
-    """Ordered, labelled family of fields (all TrigPoly or all PolyField)."""
+    """Ordered, labelled family of fields: all TrigPoly, or all PolyField
+    on one R^n."""
 
     fields: tuple
     labels: tuple[str, ...]
@@ -291,6 +251,8 @@ class FieldFamily:
         kinds = {type(f) for f in self.fields}
         if len(kinds) != 1:
             raise ValueError("fields must be homogeneous in kind")
+        if kinds == {PolyField} and len({f.dim for f in self.fields}) != 1:
+            raise ValueError("polynomial fields must share one dimension")
 
     @staticmethod
     def of_trig(pairs: Sequence[tuple[str, TrigPoly]]) -> "FieldFamily":
@@ -353,18 +315,6 @@ class ClosureReport:
                 for g in self.generated
             ],
         }
-
-
-def _basis_vector(cap: int, mode: int, kind: str) -> list[Fraction]:
-    vec = [_ZERO] * (2 * cap + 1)
-    one = Fraction(1)
-    if mode == 0:
-        vec[0] = one
-    elif kind == "cos":
-        vec[mode] = one
-    else:
-        vec[cap + mode] = one
-    return vec
 
 
 def closure(family: FieldFamily, max_depth: int, max_mode_cap: int) -> ClosureReport:
@@ -462,7 +412,8 @@ def lie_rank_at_point(family: FieldFamily, point: Sequence, max_depth: int) -> i
     on the polynomial coefficients, which is sound by bilinearity), and
     only then evaluated, so fields that vanish at the point still
     contribute through their brackets.  Coordinates are taken exactly: a
-    float is its exact binary value, so 1e-13 is not rounded to 0.
+    float is its exact binary value, so 1e-13 is not rounded to 0; a NaN
+    or infinite one raises ``ValueError`` before any bracket is formed.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
@@ -472,6 +423,8 @@ def lie_rank_at_point(family: FieldFamily, point: Sequence, max_depth: int) -> i
     n = fields[0].dim
     if len(point) != n:
         raise ValueError("dimension mismatch")
+    if not all(math.isfinite(p) for p in point if isinstance(p, float)):
+        raise ValueError("point must be finite")
     x = [Fraction(p) for p in point]
 
     span = IntegerSpan()

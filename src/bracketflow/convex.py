@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import mul
 from typing import Optional, Sequence, Union
 
@@ -53,6 +54,23 @@ def _finite(arr: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} must be finite")
     return arr
+
+
+def _real_array(value, what: str) -> np.ndarray:
+    """``np.array(value, dtype=float)`` of a JSON value; a ``true``/``false``
+    in it raises ``ValueError`` rather than reading as 1.0 or 0.0.
+
+    The types are read a whole nesting level at a time, so no Python code
+    runs per number; a level that mixes lists and numbers is ragged, which
+    numpy rejects."""
+    level = [value]
+    while True:
+        kinds = set(map(type, level))
+        if bool in kinds:
+            raise ValueError(f"{what} must hold numbers, not true or false")
+        if kinds != {list}:
+            return np.array(value, dtype=float)
+        level = list(chain.from_iterable(level))
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +341,12 @@ class ConvexBody:
         """Body of the ``halfspaces``; a ``vertices`` entry is ignored, the
         vertices are always derived from the half-spaces.  ``dim`` must equal
         their width; a bool or a fractional number raises ``ValueError``
-        (``3.0`` reads as 3), as for the CLI's integer settings."""
+        (``3.0`` reads as 3), as for the CLI's integer settings, and so does
+        a bool among the ``halfspaces``."""
         dim = data["dim"]
         if isinstance(dim, bool) or (isinstance(dim, float) and not dim.is_integer()):
             raise ValueError(f"dim must be an integer, not {dim!r}")
-        body = ConvexBody(np.array(data["halfspaces"], dtype=float))
+        body = ConvexBody(_real_array(data["halfspaces"], "halfspaces"))
         if body.dim != int(dim):
             raise ValueError("dim field does not match half-space width")
         return body
@@ -505,15 +524,6 @@ class SeparationCertificate:
     @property
     def gap(self) -> float:
         return self.beta - self.alpha
-
-    def to_json_dict(self) -> dict:
-        return {
-            "functional": self.functional.tolist(),
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "witness_a": self.witness_a.tolist(),
-            "witness_b": self.witness_b.tolist(),
-        }
 
 
 def separate(a_points, b: Union[ConvexBody, np.ndarray, Sequence]) -> SeparationCertificate:

@@ -354,9 +354,6 @@ class CircleDiffeo:
     def rotation(angle: float, grid_size: int = DEFAULT_GRID) -> "CircleDiffeo":
         return CircleDiffeo(grid_angles(grid_size) + angle)
 
-    def displacement(self) -> np.ndarray:
-        return self.lift - self.thetas
-
     def to_csv(self) -> str:
         lines = ["theta,lift"]
         for th, lf in zip(self.thetas, self.lift):

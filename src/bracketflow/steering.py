@@ -26,8 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .closure import (ClosureReport, FieldFamily, GeneratedField, closure,
-                      solve_combination, _basis_vector)
+from .closure import ClosureReport, FieldFamily, GeneratedField, closure, solve_combination
 from .flows import (TWO_PI, CircleDiffeo, FlowWord, apply_steps, apply_word, flow_states,
                     grid_angles, is_monotone_lift)
 from .trig_fields import TrigPoly
@@ -225,7 +224,8 @@ class _Certificate:
     def combination(self, mode: int, kind: str) -> Optional[list[tuple[int, Fraction]]]:
         key = (mode, kind)
         if key not in self._cache:
-            target = _basis_vector(self.report.cap, mode, kind)
+            basis = TrigPoly.cosine(mode) if kind == "cos" else TrigPoly.sine(mode)
+            target = basis.coefficient_vector(self.report.cap)
             sol = solve_combination(self.columns, target)
             if sol is None:
                 self._cache[key] = None

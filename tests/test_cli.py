@@ -201,6 +201,23 @@ def test_domain_errors_exit_two(tmp_path, capsys):
         in capsys.readouterr().err
     assert not out.exists()
 
+    # a JSON true/false inside an array of reals is not 1.0 or 0.0: read
+    # as numbers, each of these inputs is valid
+    box2 = {"dim": 2, "halfspaces": box["halfspaces"]}
+    for command, payload in (
+            ("minkowski", {"body": box2, "x": [True, 0]}),
+            ("separate", {"A": [[True, False]], "B": {"points": [[3, 0], [3, 1]]}}),
+            ("minkowski", {"body": {"dim": 2, "halfspaces": [[True, 0]] + box["halfspaces"]},
+                           "x": [0.5, 0]}),
+            ("cone", {"B": [[1.0, 0.0], [0.0, 0.1]], "a1": [True, 0], "x0": [3.0, 0.0],
+                      "D": box2}),
+            ("mackey", {"prefix": [[True, 0], [0.5, 0]], "M": box2})):
+        inp = write(tmp_path, "bool.json", payload)
+        assert main([command, "--input", inp]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: ") and err.count("\n") == 1
+        assert "must hold numbers, not " in err
+
 
 @pytest.mark.parametrize("command, setting, value", [
     ("steer", "budget", 2.7),

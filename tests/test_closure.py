@@ -347,15 +347,19 @@ def test_lie_rank_dimension_mismatch():
         lie_rank_at_point(fam, (0, 0, 0), 1)
 
 
+XS = sp.symbols("x0 x1 x2")
+
+
+def sym_bracket(xf, yf):
+    """J_X Y - J_Y X on the first len(xf) coordinates of XS."""
+    xs = XS[:len(xf)]
+    jac_x = sp.Matrix([[sp.diff(c, v) for v in xs] for c in xf])
+    jac_y = sp.Matrix([[sp.diff(c, v) for v in xs] for c in yf])
+    return list(jac_x * sp.Matrix(yf) - jac_y * sp.Matrix(xf))
+
+
 def test_lie_rank_against_symbolic_oracle():
     """Same ranks from a sympy-based bracket enumeration."""
-    xs = sp.symbols("x0 x1 x2")
-
-    def sym_bracket(xf, yf):
-        jac_x = sp.Matrix([[sp.diff(c, v) for v in xs] for c in xf])
-        jac_y = sp.Matrix([[sp.diff(c, v) for v in xs] for c in yf])
-        return list(jac_x * sp.Matrix(yf) - jac_y * sp.Matrix(xf))
-
     def oracle_rank(sym_fields, point, depth):
         pool = [tuple(f) for f in sym_fields]
         for _ in range(depth - 1):
@@ -366,12 +370,12 @@ def test_lie_rank_against_symbolic_oracle():
                     if any(c != 0 for c in w) and w not in pool and w not in new:
                         new.append(w)
             pool.extend(new)
-        subs = dict(zip(xs, point))
+        subs = dict(zip(XS, point))
         mat = sp.Matrix([[c.subs(subs) if hasattr(c, "subs") else c for c in f]
                          for f in pool])
         return mat.rank()
 
-    x0, x1, x2 = xs
+    x0, x1, x2 = XS
     # heisenberg-style triple and a planar pair with polynomial twist
     cases = [
         (FieldFamily((PolyField.coordinate(3, 0),
@@ -387,3 +391,62 @@ def test_lie_rank_against_symbolic_oracle():
     ]
     for fam, sym_fields, point, depth in cases:
         assert lie_rank_at_point(fam, point, depth) == oracle_rank(sym_fields, point, depth)
+
+
+def random_poly_field(rng, dim, max_terms, max_exp):
+    return PolyField(tuple(
+        Polynomial.make(dim, {tuple(int(e) for e in rng.integers(0, max_exp + 1, dim)):
+                              Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
+                              for _ in range(int(rng.integers(0, max_terms + 1)))})
+        for _ in range(dim)))
+
+
+def sym_field(field):
+    xs = XS[:field.dim]
+    return [sum((sp.Rational(c.numerator, c.denominator) * sp.prod([v ** e for v, e in zip(xs, m)])
+                 for m, c in p.terms), sp.Integer(0))
+            for p in field.components]
+
+
+def coefficient_sum(*fields):
+    """The sum of the fields as a sparse coefficient map, zeros dropped."""
+    total = {}
+    for field in fields:
+        for key, c in field.coefficient_dict().items():
+            total[key] = total.get(key, 0) + c
+    return {key: c for key, c in total.items() if c}
+
+
+def test_poly_bracket_matches_the_jacobian_form():
+    """[X, Y] term for term against sympy's J_X Y - J_Y X, plus antisymmetry
+    and the Jacobi identity, on seeded random rational fields in R^1..R^3."""
+    rng = np.random.default_rng(28)
+    for _ in range(40):
+        dim = int(rng.integers(1, 4))
+        x, y = (random_poly_field(rng, dim, 3, 3) for _ in range(2))
+        got = poly_bracket(x, y)
+        xs = XS[:dim]
+        for p, expr in zip(got.components, sym_bracket(sym_field(x), sym_field(y))):
+            want = {m: Fraction(int(c.p), int(c.q))
+                    for m, c in sp.Poly(sp.expand(expr), *xs).as_dict().items() if c}
+            assert dict(p.terms) == want
+        assert not coefficient_sum(got, poly_bracket(y, x))
+    for _ in range(15):
+        dim = int(rng.integers(1, 4))
+        x, y, z = (random_poly_field(rng, dim, 2, 2) for _ in range(3))
+        assert not coefficient_sum(poly_bracket(x, poly_bracket(y, z)),
+                                   poly_bracket(y, poly_bracket(z, x)),
+                                   poly_bracket(z, poly_bracket(x, y)))
+
+
+def test_family_rejects_polynomial_fields_of_different_dimensions():
+    fields = (PolyField.coordinate(2, 0), PolyField.coordinate(3, 1), PolyField.coordinate(3, 2))
+    with pytest.raises(ValueError, match="share one dimension"):
+        FieldFamily(fields, ("a", "b", "c"))
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_lie_rank_rejects_a_non_finite_point(bad):
+    fam = FieldFamily((PolyField.coordinate(2, 0), PolyField.coordinate(2, 1)), ("dx", "dy"))
+    with pytest.raises(ValueError, match="point must be finite"):
+        lie_rank_at_point(fam, (0, bad), 2)

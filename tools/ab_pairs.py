@@ -19,6 +19,10 @@ the change's median is worse than the parent's by no more than the metric's
 relative ``bound``.  When the parent's IQR is wider than that bound, the
 runs cannot tell such a difference from noise, and the verdict reads
 ``unresolved`` unless every change run is better than every parent run.
+
+A run that exits nonzero is printed flagged ``!`` with its exit code and the
+last lines of its stderr; that workload stops there, its summary covers the
+pairs completed before it, and the script exits 1 after all workloads.
 """
 from __future__ import annotations
 
@@ -32,12 +36,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result object that ``bench/run.py`` prints as its last line."""
-    out = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
-                          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                         cwd=tree, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+def bench_run(tree: Path, workload: str, seed: int,
+              seconds: float) -> subprocess.CompletedProcess:
+    """One ``bench/run.py`` process; its result object is the last line of stdout."""
+    return subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                          cwd=tree, capture_output=True, text=True)
 
 
 def iqr(values: list[float]) -> float:
@@ -58,17 +62,33 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         p.error("--pairs must be >= 2")
     trees = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
+    status = 0
     for workload in args.workload:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
         for k in range(args.pairs):
             seed = args.seed + k
+            pair = {}
             for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-                r = bench_run(trees[side], workload, seed, spec["run_seconds"])
-                runs[side].append(r)
+                out = bench_run(trees[side], workload, seed, spec["run_seconds"])
+                if out.returncode:
+                    tail = "".join(f"\n    {line}" for line in out.stderr.splitlines()[-5:])
+                    print(f"! {workload} pair {k} seed {seed} {side}: exit {out.returncode}"
+                          f"{tail}", flush=True)
+                    break
+                r = pair[side] = json.loads(out.stdout.strip().splitlines()[-1])
                 flag = "!" if not r["correct"] or r["failed"] else " "
                 values = " ".join(f"{name} {m['value']:.6g}" for name, m in r["metrics"].items())
                 print(f"{flag} {workload} pair {k} seed {seed} {side}: {values} "
                       f"failed {r['failed']}/{r['attempted']} correct {r['correct']}", flush=True)
+            if len(pair) < 2:
+                status = 1
+                break
+            for side, r in pair.items():
+                runs[side].append(r)
+        done = len(runs["parent"])
+        if done < 2:
+            print(f"{workload}: {done} complete pair(s), too few to summarise", flush=True)
+            continue
         for metric in spec["end_to_end"]:
             name, lower = metric["name"], metric["better"] == "lower"
             pv = [r["metrics"][name]["value"] for r in runs["parent"]]
@@ -81,15 +101,15 @@ def main(argv=None) -> int:
             verdict = "unresolved" if iqr(pv) > bound and not dominates else worse <= bound
             print(f"{workload} {name}: parent {pm:.6g} (IQR {iqr(pv):.3g}) "
                   f"change {cm:.6g} (IQR {iqr(cv):.3g}) {100 * (cm / pm - 1):+.1f}%, "
-                  f"change better in {wins}/{args.pairs}, "
+                  f"change better in {wins}/{done}, "
                   f"|median difference| > parent IQR: {abs(cm - pm) > iqr(pv)}, "
                   f"within bound {100 * metric['bound']:g}%: {verdict}", flush=True)
         for side in ("parent", "change"):
             failed = sum(r["failed"] for r in runs[side])
             attempted = sum(r["attempted"] for r in runs[side])
-            print(f"{workload} {side}: {sum(r['correct'] for r in runs[side])}/{args.pairs} "
+            print(f"{workload} {side}: {sum(r['correct'] for r in runs[side])}/{done} "
                   f"correct, failed share {failed / attempted:.4f}", flush=True)
-    return 0
+    return status
 
 
 if __name__ == "__main__":
